@@ -14,8 +14,7 @@ from .diffengine import Graph, backward, check_gradients
 from .estimators import (PixelMarginal, SampleSet, diversity, mmse_estimate,
                          mse, mse_decomposition, pixel_marginal, psnr)
 from .flows import (ComposedSampler, CouplingLayer, DiagonalAffine, FlowModel,
-                    Mlp, Permutation, composed_sample, gaussian_logpdf,
-                    make_flow)
+                    Mlp, Permutation, gaussian_logpdf, make_flow)
 from .measurement import (Downsample2xOp, GaussianOp, GrayscaleOp, MaskOp,
                           Observation, make_gaussian_op, make_observation)
 from .objective import (GridSpec, LossBreakdown, SmoothingSpec,
@@ -25,7 +24,7 @@ from .persist import (Dataset, load_checkpoint, load_run_config,
                       make_blob_images, save_checkpoint, synth_dataset)
 from .satgadget import (CnfFormula, GadgetFlow, SatGadget, compile_gadget,
                         conditional_sat_demo, decode_assignment, delta_eps,
-                        eval_gadget, parse_dimacs, to_dimacs, transformed_var)
+                        parse_dimacs, to_dimacs, transformed_var)
 from .training import (AdamState, TrainConfig, TrainTrace, observation_context,
                        stream_rng, train_amortized, train_base_mle, train_svi)
 

@@ -17,7 +17,7 @@ from . import diffengine as de
 from .flows import FlowModel, ParamBinder, gaussian_logpdf_node
 from .measurement import Observation
 from .objective import SmoothingSpec
-from .training import AdamState, TrainingDiverged, TrainTrace, stream_rng
+from .training import TrainConfig, _fit, stream_rng
 
 
 class BaselineError(ValueError):
@@ -126,22 +126,21 @@ def latent_objective(base, obs, z, lam: float = 0.0) -> float:
 
 
 def _optimize_latent(base, obs, z0, lr, steps, lam):
-    """Adam on z for ||A(f(z)) - y*||^2 + lam ||z||^2; returns (z, objective)."""
+    """Adam on z for ||A(f(z)) - y*||^2 + lam ||z||^2, without a gradient
+    clip; returns (z, objective)."""
     z = z0.copy()
-    adam = AdamState([z], lr)
-    for step in range(steps):
-        g = de.Graph()
-        bind = ParamBinder(g)
-        zn = g.leaf(z)
+    target = obs.y_star[None, :]
+
+    def step_loss(bind, step):
+        zn = bind(z)
         x, _ = base.forward_node(bind, zn)
-        y = obs.op.apply_node(x)
-        target = g.constant(obs.y_star[None, :])
-        loss = (y - target).square().sum()
+        loss = (obs.op.apply_node(x) - bind.graph.constant(target)).square().sum()
         if lam != 0.0:
             loss = loss + lam * zn.square().sum()
-        if not math.isfinite(float(loss.value)):
-            raise TrainingDiverged(step, TrainTrace())
-        adam.update([z], [de.backward(g, loss)[zn]])
+        return loss, (0.0, 0.0, float(loss.value))
+
+    _fit([z], TrainConfig(learning_rate=lr, num_steps=steps,
+                          gradient_clip_norm=None), step_loss)
     return z, latent_objective(base, obs, z, lam)
 
 
@@ -163,6 +162,8 @@ def csgm_estimate(base: FlowModel, obs: Observation, lr: float = 0.02,
     initialized z0 ~ N(0, 0.1^2 I)."""
     if restarts < 1:
         raise BaselineError("restarts must be >= 1")
+    if steps < 0:
+        raise BaselineError("steps must be >= 0")
     best = None
     finals = []
     for r in range(restarts):

@@ -66,30 +66,39 @@ def _train_config(cfg: RunConfig, **overrides) -> TrainConfig:
         "seed": cfg.seed,
         "gradient_clip_norm": None if clip.lower() in ("", "none")
         else float(clip),
-        "checkpoint_every": cfg.getint("train", "checkpoint_every", 0),
     }
     fields.update(overrides)
     return TrainConfig(**fields)
 
 
-def _measurement(cfg: RunConfig, dim: int, image_shape=None):
+def _operator(cfg: RunConfig, dim: int):
+    """The ``[measure]`` operator on signals of length ``dim``, and the
+    ``[data]`` dataset when one had to be built to find the image shape
+    (image-grid keeps its shape in the file; blobs take it from
+    ``height``/``width``)."""
+    ds, image_shape = None, None
+    data_kind = cfg.get("data", "kind", "")
+    if data_kind == "image-grid":
+        ds = _dataset(cfg)
+        image_shape = ds.image_shape
+    elif data_kind == "blobs":
+        image_shape = (cfg.getint("data", "height", 8),
+                       cfg.getint("data", "width", 8), 1)
     kind = cfg.get("measure", "kind")
     if kind == "mask":
         if cfg.has("measure", "mask_path"):
             idx = load_mask_file(cfg.get("measure", "mask_path"))
         else:
             idx = np.asarray(cfg.getints("measure", "indices"), dtype=np.intp)
-        return MaskOp(idx, dim)
+        return MaskOp(idx, dim), ds
     if kind == "gaussian":
         return GaussianOp(cfg.getint("measure", "gauss_seed", 1),
-                          cfg.getint("measure", "m"), dim)
+                          cfg.getint("measure", "m"), dim), ds
     if kind in ("downsample2x", "grayscale"):
         if image_shape is None:
             raise ConfigError("measure.kind", f"{kind} needs image data")
-        h, w, c = image_shape
-        if kind == "downsample2x":
-            return Downsample2xOp(h, w, c)
-        return GrayscaleOp(h, w, c)
+        op_class = Downsample2xOp if kind == "downsample2x" else GrayscaleOp
+        return op_class(*image_shape), ds
     raise ConfigError("measure.kind", f"unknown measurement kind {kind!r}")
 
 
@@ -110,25 +119,32 @@ def _ground_truth(cfg: RunConfig, dataset: persist.Dataset | None) -> np.ndarray
     return dataset.samples[index]
 
 
-def _observation(cfg: RunConfig, op, dataset=None) -> Observation:
+def _problem(cfg: RunConfig, dim: int):
+    """The operator and the observation: every inference command builds
+    its problem here, so one config means one problem in all of them."""
+    op, ds = _operator(cfg, dim)
     source = cfg.get("observe", "source", "synthetic")
     if source == "file":
         y = persist.load_array(cfg.get("observe", "y_path"))[0]
         gt = None
         if cfg.has("observe", "gt_path"):
             gt = persist.load_array(cfg.get("observe", "gt_path"))[0]
-        return Observation(y_star=y, op=op, ground_truth=gt,
-                           noise_sigma=cfg.getfloat("observe", "noise_sigma", 0.0))
+        return op, Observation(y_star=y, op=op, ground_truth=gt,
+                               noise_sigma=cfg.getfloat("observe", "noise_sigma", 0.0))
     if source != "synthetic":
         raise ConfigError("observe.source", f"unknown source {source!r}")
-    gt = _ground_truth(cfg, dataset)
+    gt = _ground_truth(cfg, ds)
     noise = cfg.getfloat("observe", "noise_sigma", 0.0)
-    return make_observation(op, gt, noise,
-                            stream_rng(cfg.seed, "obs-noise"))
+    return op, make_observation(op, gt, noise, stream_rng(cfg.seed, "obs-noise"))
 
 
 def _load_base(cfg: RunConfig):
     return persist.load_checkpoint(cfg.get("model", "base_checkpoint"), "base")
+
+
+def _require_mask(op, command: str) -> None:
+    if not isinstance(op, MaskOp):
+        raise ConfigError("measure.kind", f"{command} needs a mask operator")
 
 
 def _save_observation(out: Path, obs: Observation) -> None:
@@ -159,12 +175,7 @@ def cmd_train_base(cfg: RunConfig, out: Path) -> str:
 
 def cmd_infer(cfg: RunConfig, out: Path) -> str:
     base = _load_base(cfg)
-    ds = _dataset(cfg) if cfg.get("data", "kind", "") == "image-grid" else None
-    image_shape = ds.image_shape if ds else (
-        (cfg.getint("data", "height", 8), cfg.getint("data", "width", 8), 1)
-        if cfg.get("data", "kind", "") == "blobs" else None)
-    op = _measurement(cfg, base.dim, image_shape)
-    obs = _observation(cfg, op, ds)
+    _, obs = _problem(cfg, base.dim)
     pre, trace = train_svi(base, obs, _train_config(cfg))
     persist.save_checkpoint(pre, out / "pregen.ckpt", "pregen")
     (out / "trace.csv").write_text(trace.to_csv(), encoding="ascii")
@@ -180,8 +191,7 @@ def cmd_infer(cfg: RunConfig, out: Path) -> str:
 
 def cmd_lmc(cfg: RunConfig, out: Path) -> str:
     base = _load_base(cfg)
-    op = _measurement(cfg, base.dim)
-    obs = _observation(cfg, op)
+    _, obs = _problem(cfg, base.dim)
     sigma = cfg.getfloat("train", "sigma", 0.1)
     n_chains = cfg.getint("lmc", "n_chains", 1)
     burn = cfg.get("lmc", "burn_in", "")
@@ -207,8 +217,7 @@ def cmd_lmc(cfg: RunConfig, out: Path) -> str:
 
 def _point_command(cfg: RunConfig, out: Path, name: str) -> str:
     base = _load_base(cfg)
-    op = _measurement(cfg, base.dim)
-    obs = _observation(cfg, op)
+    _, obs = _problem(cfg, base.dim)
     if name == "ivom":
         est = baselines.ivom_estimate(
             base, obs, lr=cfg.getfloat("point", "lr", 5e-4),
@@ -237,10 +246,10 @@ def cmd_csgm(cfg, out):
 
 def cmd_amortize(cfg: RunConfig, out: Path) -> str:
     base = _load_base(cfg)
-    ds = _dataset(cfg)
-    op = _measurement(cfg, base.dim)
-    if not isinstance(op, MaskOp):
-        raise ConfigError("measure.kind", "amortize needs a mask operator")
+    op, ds = _operator(cfg, base.dim)
+    _require_mask(op, "amortize")
+    if ds is None:
+        ds = _dataset(cfg)
     noise = cfg.getfloat("observe", "noise_sigma", 0.0)
 
     def obs_sampler(rng: np.random.Generator) -> Observation:
@@ -257,10 +266,10 @@ def cmd_amortize(cfg: RunConfig, out: Path) -> str:
 
 def cmd_amortized_infer(cfg: RunConfig, out: Path) -> str:
     base = _load_base(cfg)
+    op, obs = _problem(cfg, base.dim)
+    _require_mask(op, "amortized-infer")
     cond = persist.load_checkpoint(
         cfg.get("model", "conditional_checkpoint"), "conditional")
-    op = _measurement(cfg, base.dim)
-    obs = _observation(cfg, op)
     cs = ComposedSampler(cond, base, context=observation_context(obs))
     n = cfg.getint("sample", "n", 1000)
     samples = cs.sample(n, stream_rng(cfg.seed, "sample"))
@@ -285,8 +294,7 @@ def cmd_eval(cfg: RunConfig, out: Path) -> str:
     if sset.n >= 2:
         rows.append(("diversity", estimators.diversity(sset)))
     if cfg.has("eval", "y_path"):
-        base_dim = sset.dim
-        op = _measurement(cfg, base_dim)
+        op, _ = _operator(cfg, sset.dim)
         y = persist.load_array(cfg.get("eval", "y_path"))[0]
         obs = Observation(y_star=y, op=op)
         rows.append(("mean_residual", _mean_residual(sset.samples, obs)))
@@ -302,8 +310,7 @@ def cmd_eval(cfg: RunConfig, out: Path) -> str:
 
 def cmd_sigma_sweep(cfg: RunConfig, out: Path) -> str:
     base = _load_base(cfg)
-    op = _measurement(cfg, base.dim)
-    obs = _observation(cfg, op)
+    _, obs = _problem(cfg, base.dim)
     sigmas = cfg.getfloats("sweep", "sigmas", SIGMA_SWEEP_DEFAULT)
     n_eval = cfg.getint("sweep", "eval_samples", 2000)
     residuals = []

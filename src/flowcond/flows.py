@@ -402,10 +402,6 @@ class ComposedSampler:
         return float(out[0]) if single else out
 
 
-def composed_sample(cs: ComposedSampler, n: int, rng: np.random.Generator) -> np.ndarray:
-    return cs.sample(n, rng)
-
-
 def make_flow(dim: int, *, num_layers: int = 6, kind: str = "affine",
               hidden_width: int = 64, hidden_layers: int = 2,
               context_width: int = 0, rng: np.random.Generator) -> FlowModel:

@@ -45,10 +45,6 @@ class MeasurementOp:
     def apply_node(self, x: de.Node) -> de.Node:
         raise NotImplementedError
 
-    def descriptor(self) -> dict:
-        """Serializable reconstruction data (see the persistence module)."""
-        raise NotImplementedError
-
 
 class MaskOp(MeasurementOp):
     """Observe a fixed index set of the flattened signal."""
@@ -82,10 +78,6 @@ class MaskOp(MeasurementOp):
 
     def apply_node(self, x):
         return de.take(x, self.indices, axis=1)
-
-    def descriptor(self):
-        return {"kind": self.kind, "input_dim": self.input_dim,
-                "indices": self.indices.tolist()}
 
 
 class _MatrixOp(MeasurementOp):
@@ -122,10 +114,6 @@ class GaussianOp(_MatrixOp):
         super().__init__(rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, d)))
         self.seed = int(seed)
 
-    def descriptor(self):
-        return {"kind": self.kind, "seed": self.seed,
-                "m": self.output_dim, "d": self.input_dim}
-
 
 def make_gaussian_op(seed: int, m: int, d: int) -> GaussianOp:
     return GaussianOp(seed, m, d)
@@ -152,10 +140,6 @@ class Downsample2xOp(_MatrixOp):
                     out += 1
         super().__init__(mat)
 
-    def descriptor(self):
-        return {"kind": self.kind, "height": self.height,
-                "width": self.width, "channels": self.channels}
-
 
 class GrayscaleOp(_MatrixOp):
     """Average the channels of every pixel (channel-last)."""
@@ -173,10 +157,6 @@ class GrayscaleOp(_MatrixOp):
         for p, (i, j) in enumerate(np.ndindex(height, width)):
             mat[p, idx[i, j, :]] = 1.0 / channels
         super().__init__(mat)
-
-    def descriptor(self):
-        return {"kind": self.kind, "height": self.height,
-                "width": self.width, "channels": self.channels}
 
 
 @dataclass

@@ -218,6 +218,8 @@ def checkpoint_kind(path) -> str:
     if r.read(4) != CHECKPOINT_MAGIC:
         raise PersistError(f"{path}: not a checkpoint")
     _, kind_code, _, _ = r.unpack("IBII")
+    if kind_code not in _KIND_NAMES:
+        raise PersistError(f"{path}: unknown model kind code {kind_code}")
     return _KIND_NAMES[kind_code]
 
 
@@ -314,11 +316,11 @@ def convert_npy_images(npy_paths, out_path) -> Dataset:
     shaped = []
     for a in arrays:
         a = np.asarray(a, dtype=np.float64)
-        if a.ndim == 2:
-            a = a[:, :, None]
-        if a.shape != arrays[0].shape and a.ndim != 3:
-            raise PersistError("images must share a shape")
-        shaped.append(a)
+        if a.ndim not in (2, 3):
+            raise PersistError(f"images must be 2-d or 3-d, got shape {a.shape}")
+        shaped.append(a[:, :, None] if a.ndim == 2 else a)
+    if any(a.shape != shaped[0].shape for a in shaped):
+        raise PersistError("images must share a shape")
     h, w, c = shaped[0].shape
     samples = np.stack([a.reshape(h * w * c) for a in shaped])
     ds = Dataset(kind="image-grid", samples=samples, image_shape=(h, w, c))

@@ -230,10 +230,6 @@ def compile_gadget(formula: CnfFormula, eps: float, big_m: float) -> SatGadget:
                      clause_vars=clause_vars, clause_patterns=clause_patterns)
 
 
-def eval_gadget(gadget: SatGadget, x):
-    return gadget.eval(x)
-
-
 def decode_assignment(x, eps: float):
     """The unique +-1 corner within eps of x per coordinate, or None."""
     arr = np.asarray(x, dtype=np.float64)

@@ -1,6 +1,7 @@
 """Optimization drivers: Adam, the per-observation variational loop,
 amortized training over an observation family, and maximum-likelihood
-training of base flows on toy data.
+training of base flows on toy data.  Every driver runs the same loop,
+:func:`_fit`, and supplies only its per-step loss.
 
 All randomness comes from :func:`stream_rng`: counter-based (Philox)
 generators keyed by (seed, purpose, step), so every driver is bit-
@@ -50,7 +51,6 @@ class TrainConfig:
     sigma: float = 0.1
     seed: int = 0
     gradient_clip_norm: float | None = 100.0
-    checkpoint_every: int = 0
 
     def __post_init__(self):
         if self.num_steps < 0:
@@ -133,8 +133,36 @@ def default_pre_generator(dim: int, seed: int, context_width: int = 0) -> FlowMo
                      rng=stream_rng(seed, "pregen-init"))
 
 
-def _finite(*vals) -> bool:
-    return all(np.isfinite(v) for v in vals)
+def _fit(params, config: TrainConfig, step_loss, step_callback=None) -> TrainTrace:
+    """The optimizer loop every driver shares: Adam on ``params`` for
+    ``config.num_steps`` steps.
+
+    ``step_loss(bind, step)`` builds step ``step``'s objective on a fresh
+    graph through ``bind`` and returns ``(loss node, (kl, penalty, total))``;
+    the triple is the trace row.  A non-finite total raises
+    :class:`TrainingDiverged` with the rows so far.  ``step_callback(step)``,
+    when given, runs after every update.
+    """
+    adam = AdamState(params, config.learning_rate)
+    trace = TrainTrace()
+    for step in range(config.num_steps):
+        bind = ParamBinder(de.Graph())
+        loss, (kl, pen, total) = step_loss(bind, step)
+        if not np.isfinite(total):
+            raise TrainingDiverged(step, trace)
+        grads = bind.gradients(de.backward(bind.graph, loss), params)
+        norm = clip_gradients(grads, config.gradient_clip_norm)
+        trace.append(step, kl, pen, total, norm)
+        adam.update(params, grads)
+        if step_callback is not None:
+            step_callback(step)
+    return trace
+
+
+def _loss_row(kl, pen, total):
+    """A (kl, penalty, total) loss triple as the node to differentiate and
+    the trace row."""
+    return total, (kl.value, pen.value, total.value)
 
 
 def train_svi(base: FlowModel, obs: Observation, config: TrainConfig,
@@ -144,32 +172,22 @@ def train_svi(base: FlowModel, obs: Observation, config: TrainConfig,
 
     The base flow is frozen: only pre-generator parameters are updated.
     The trace row for step i is the loss *before* that step's update, so
-    row 0 of a fresh run always shows a zero KL term.
+    row 0 of a fresh run always shows a zero KL term.  ``step_callback(step,
+    pre_generator)`` runs after every step's update.
     """
     d = base.dim
     pre = pre_generator if pre_generator is not None else \
         default_pre_generator(d, config.seed)
     cs = ComposedSampler(pre, base)
     smoothing = SmoothingSpec(config.sigma)
-    params = pre.parameters()
-    adam = AdamState(params, config.learning_rate)
-    trace = TrainTrace()
-    for step in range(config.num_steps):
+
+    def step_loss(bind, step):
         eps = stream_rng(config.seed, "svi-eps", step).standard_normal(
             (config.batch_size, d))
-        g = de.Graph()
-        bind = ParamBinder(g)
-        kl, pen, total = svi_loss_nodes(bind, cs, obs, smoothing, eps)
-        if not _finite(kl.value, pen.value):
-            raise TrainingDiverged(step, trace)
-        grads = bind.gradients(de.backward(g, total), params)
-        norm = clip_gradients(grads, config.gradient_clip_norm)
-        trace.append(step, kl.value, pen.value, total.value, norm)
-        adam.update(params, grads)
-        if step_callback and config.checkpoint_every \
-                and (step + 1) % config.checkpoint_every == 0:
-            step_callback(step, pre)
-    return pre, trace
+        return _loss_row(*svi_loss_nodes(bind, cs, obs, smoothing, eps))
+
+    hook = None if step_callback is None else lambda step: step_callback(step, pre)
+    return pre, _fit(pre.parameters(), config, step_loss, hook)
 
 
 def observation_context(obs: Observation) -> np.ndarray:
@@ -187,8 +205,7 @@ def observation_context(obs: Observation) -> np.ndarray:
 
 
 def train_amortized(base: FlowModel, conditional_pre_generator: FlowModel,
-                    obs_sampler, config: TrainConfig,
-                    step_callback=None) -> FlowModel:
+                    obs_sampler, config: TrainConfig) -> FlowModel:
     """Minimize the expected per-observation loss over a family of
     observations; ``obs_sampler(rng)`` yields a fresh Observation per step.
 
@@ -202,27 +219,16 @@ def train_amortized(base: FlowModel, conditional_pre_generator: FlowModel,
             f"conditional flow context width {pre.context_width} != 2*d = {2 * d}")
     cs = ComposedSampler(pre, base)
     smoothing = SmoothingSpec(config.sigma)
-    params = pre.parameters()
-    adam = AdamState(params, config.learning_rate)
-    trace = TrainTrace()
-    for step in range(config.num_steps):
+
+    def step_loss(bind, step):
         obs = obs_sampler(stream_rng(config.seed, "avi-obs", step))
         ctx = observation_context(obs)
         eps = stream_rng(config.seed, "avi-eps", step).standard_normal(
             (config.batch_size, d))
-        g = de.Graph()
-        bind = ParamBinder(g)
-        ctx_node = pre.context_node(g, ctx, eps.shape[0])
-        kl, pen, total = svi_loss_nodes(bind, cs, obs, smoothing, eps, ctx_node)
-        if not _finite(kl.value, pen.value):
-            raise TrainingDiverged(step, trace)
-        grads = bind.gradients(de.backward(g, total), params)
-        norm = clip_gradients(grads, config.gradient_clip_norm)
-        trace.append(step, kl.value, pen.value, total.value, norm)
-        adam.update(params, grads)
-        if step_callback and config.checkpoint_every \
-                and (step + 1) % config.checkpoint_every == 0:
-            step_callback(step, pre)
+        ctx_node = pre.context_node(bind.graph, ctx, eps.shape[0])
+        return _loss_row(*svi_loss_nodes(bind, cs, obs, smoothing, eps, ctx_node))
+
+    _fit(pre.parameters(), config, step_loss)
     return pre
 
 
@@ -234,22 +240,13 @@ def train_ambient_vi(base: FlowModel, obs: Observation, config: TrainConfig,
     if q is None:
         q = default_pre_generator(d, config.seed)
     smoothing = SmoothingSpec(config.sigma)
-    params = q.parameters()
-    adam = AdamState(params, config.learning_rate)
-    trace = TrainTrace()
-    for step in range(config.num_steps):
+
+    def step_loss(bind, step):
         eps = stream_rng(config.seed, "avi-ambient-eps", step).standard_normal(
             (config.batch_size, d))
-        g = de.Graph()
-        bind = ParamBinder(g)
-        kl, pen, total = ambient_vi_loss_nodes(bind, q, base, obs, smoothing, eps)
-        if not _finite(kl.value, pen.value):
-            raise TrainingDiverged(step, trace)
-        grads = bind.gradients(de.backward(g, total), params)
-        norm = clip_gradients(grads, config.gradient_clip_norm)
-        trace.append(step, kl.value, pen.value, total.value, norm)
-        adam.update(params, grads)
-    return q, trace
+        return _loss_row(*ambient_vi_loss_nodes(bind, q, base, obs, smoothing, eps))
+
+    return q, _fit(q.parameters(), config, step_loss)
 
 
 def train_base_mle(flow: FlowModel, dataset, config: TrainConfig,
@@ -258,28 +255,18 @@ def train_base_mle(flow: FlowModel, dataset, config: TrainConfig,
 
     Trace rows carry the negative log-likelihood in nats per dimension in
     the ``total`` column (kl/penalty columns are zero for this driver).
+    ``step_callback(step, flow)`` runs after every step's update.
     """
     data = np.asarray(getattr(dataset, "samples", dataset), dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != flow.dim:
         raise TrainingError(f"dataset must be (n, {flow.dim})")
-    params = flow.parameters()
-    adam = AdamState(params, config.learning_rate)
-    trace = TrainTrace()
-    for step in range(config.num_steps):
+
+    def step_loss(bind, step):
         idx = stream_rng(config.seed, "mle-batch", step).integers(
             0, data.shape[0], size=config.batch_size)
-        g = de.Graph()
-        bind = ParamBinder(g)
-        x = g.constant(data[idx])
-        z, ld_inv = flow.inverse_node(bind, x)
+        z, ld_inv = flow.inverse_node(bind, bind.graph.constant(data[idx]))
         loss = -1.0 * (gaussian_logpdf_node(z) + ld_inv).mean()
-        if not np.isfinite(loss.value):
-            raise TrainingDiverged(step, trace)
-        grads = bind.gradients(de.backward(g, loss), params)
-        norm = clip_gradients(grads, config.gradient_clip_norm)
-        trace.append(step, 0.0, 0.0, float(loss.value) / flow.dim, norm)
-        adam.update(params, grads)
-        if step_callback and config.checkpoint_every \
-                and (step + 1) % config.checkpoint_every == 0:
-            step_callback(step, flow)
-    return flow, trace
+        return loss, (0.0, 0.0, float(loss.value) / flow.dim)
+
+    hook = None if step_callback is None else lambda step: step_callback(step, flow)
+    return flow, _fit(flow.parameters(), config, step_loss, hook)

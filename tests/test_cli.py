@@ -1,6 +1,11 @@
 """End-to-end CLI tests with tiny budgets: every subcommand runs, writes
 its artifacts and manifest, honors exit-code conventions, and reproduces
-its outputs bit-for-bit under a fixed seed."""
+its outputs bit-for-bit under a fixed seed; every inference command
+accepts the same problem configs, and README's config-key list matches the
+keys the code reads."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -465,3 +470,178 @@ n = 6
 """)
         assert main(["infer", "--config", cfg]) == 0
         assert load_array(tmp_path / "sr" / "y_star.flwa").shape == (1, 4)
+
+
+# ---------------------------------------------------------------------------
+# every inference command accepts the problem configs infer accepts
+# ---------------------------------------------------------------------------
+
+PROBLEM_COMMANDS = ["infer", "lmc", "ivom", "csgm", "sigma-sweep", "eval"]
+
+
+@pytest.fixture(scope="module")
+def image_problems(tmp_path_factory):
+    """A 4x4 blob base plus, per problem, the [data] and [measure] lines and
+    the files eval reads; the image-grid file holds 4x4x1 images, so the
+    same base serves both problems."""
+    from flowcond.persist import make_blob_images, save_array, save_image_dataset
+    root = tmp_path_factory.mktemp("problems")
+    cfg = write_cfg(root / "base.cfg", f"""
+[run]
+task = cs
+output_dir = {root / "base"}
+seed = 21
+
+[data]
+kind = blobs
+n = 40
+height = 4
+width = 4
+
+[model]
+num_layers = 2
+hidden_width = 8
+
+[train]
+num_steps = 5
+batch_size = 16
+""")
+    assert main(["train-base", "--config", cfg]) == 0
+    grid = root / "grid.flwi"
+    save_image_dataset(grid, make_blob_images(6, 4, 4, seed=22))
+    samples = root / "samples.flwa"
+    save_array(samples, np.random.default_rng(23).uniform(0, 1, (8, 16)))
+    problems = {
+        "blobs-downsample2x": ("kind = blobs\nheight = 4\nwidth = 4",
+                               "kind = downsample2x", 4),
+        "image-grid-mask": (f"kind = image-grid\npath = {grid}",
+                            "kind = mask\nindices = 0,5", 2),
+    }
+    out = {}
+    for name, (data, measure, m) in problems.items():
+        y = root / f"y-{name}.flwa"
+        save_array(y, np.zeros(m))
+        out[name] = (data, measure, y)
+    return root / "base" / "base.ckpt", samples, out
+
+
+def problem_config(tmp_path, ckpt, data, measure, extra=""):
+    return write_cfg(tmp_path / "problem.cfg", f"""
+[run]
+task = inpaint
+output_dir = {tmp_path / "out"}
+seed = 24
+
+[data]
+{data}
+
+[model]
+base_checkpoint = {ckpt}
+
+[measure]
+{measure}
+
+[observe]
+source = synthetic
+index = 1
+
+[train]
+num_steps = 3
+batch_size = 4
+sigma = 0.05
+
+[sample]
+n = 5
+
+[lmc]
+chain_length = 10
+
+[point]
+steps = 3
+restarts = 1
+
+[sweep]
+sigmas = 1,0.1
+eval_samples = 10
+{extra}""")
+
+
+class TestProblemConfigs:
+    @pytest.mark.parametrize("problem", ["blobs-downsample2x", "image-grid-mask"])
+    @pytest.mark.parametrize("command", PROBLEM_COMMANDS)
+    def test_command_accepts_problem(self, tmp_path, image_problems, command,
+                                     problem, capsys):
+        ckpt, samples, problems = image_problems
+        data, measure, y = problems[problem]
+        extra = f"\n[eval]\nsamples_path = {samples}\ny_path = {y}\n"
+        cfg = problem_config(tmp_path, ckpt, data, measure,
+                             extra if command == "eval" else "")
+        assert main([command, "--config", cfg]) == 0, capsys.readouterr().err
+        if command == "eval":
+            metrics = (tmp_path / "out" / "metrics.csv").read_text()
+            assert "mean_residual" in metrics
+        elif command != "sigma-sweep":
+            assert (tmp_path / "out" / "y_star.flwa").exists()
+            assert (tmp_path / "out" / "ground_truth.flwa").exists()
+
+    @pytest.mark.parametrize("measure", ["kind = gaussian\nm = 3",
+                                         "kind = downsample2x"])
+    @pytest.mark.parametrize("command", ["amortize", "amortized-infer"])
+    def test_amortization_needs_mask(self, tmp_path, image_problems, command,
+                                     measure, capsys):
+        from flowcond.flows import make_flow
+        from flowcond.persist import save_checkpoint
+        ckpt, _, problems = image_problems
+        cond = tmp_path / "cond.ckpt"
+        save_checkpoint(make_flow(16, num_layers=2, hidden_width=8,
+                                  context_width=32,
+                                  rng=np.random.default_rng(25)),
+                        cond, "conditional")
+        cfg = problem_config(tmp_path, ckpt, problems["blobs-downsample2x"][0],
+                             measure)
+        assert main([command, "--config", cfg,
+                     "--set", f"model.conditional_checkpoint={cond}"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: measure.kind" in err
+        assert f"{command} needs a mask operator" in err
+
+
+# ---------------------------------------------------------------------------
+# the README's config-key list matches the keys the code reads
+# ---------------------------------------------------------------------------
+
+def code_config_keys():
+    """(section, key) pairs read through RunConfig getters in cli and persist."""
+    from flowcond import cli, persist
+    getter = re.compile(r'\.(?:get|getint|getfloat|getfloats|getints|has)\(\s*'
+                        r'"(\w+)",\s*"(\w+)"')
+    pairs = set()
+    for module in (cli, persist):
+        pairs |= set(getter.findall(Path(module.__file__).read_text()))
+    return pairs
+
+
+def readme_config_keys():
+    """(section, key) pairs of README's "Config keys" list: per bullet, the
+    backticked names outside parentheses (those hold defaults)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    pairs = set()
+    for bullet in re.split(r"\n\* ", block)[1:]:
+        section, rest = re.match(r"`\[(\w+)\]`(.*)", bullet, re.S).groups()
+        rest = re.sub(r"\([^()]*(\([^()]*\)[^()]*)*\)", "", rest)
+        pairs |= {(section, key) for key in re.findall(r"`(\w+)`", rest)}
+    return pairs
+
+
+class TestConfigKeysDocumented:
+    def test_scanners_see_known_keys(self):
+        for pairs in (code_config_keys(), readme_config_keys()):
+            assert {("run", "task"), ("train", "gradient_clip_norm"),
+                    ("data", "height"), ("sat", "m_scale")} <= pairs
+
+    def test_every_read_key_is_documented(self):
+        assert code_config_keys() - readme_config_keys() == set()
+
+    def test_every_documented_key_is_read(self):
+        assert readme_config_keys() - code_config_keys() == set()

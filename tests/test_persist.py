@@ -83,6 +83,17 @@ class TestCheckpoint:
         with pytest.raises(KindMismatch):
             load_checkpoint(path, "pregen")
 
+    def test_unknown_kind_code(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(perturbed_flow(3, "affine", seed=10), path, "base")
+        raw = bytearray(path.read_bytes())
+        raw[8] = 9                      # the u8 kind after magic and version
+        path.write_bytes(bytes(raw))
+        with pytest.raises(PersistError, match="kind code 9"):
+            checkpoint_kind(path)
+        with pytest.raises(PersistError, match="kind code 9"):
+            load_checkpoint(path)
+
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
@@ -144,6 +155,22 @@ class TestImageDataset:
         ds = convert_npy_images(paths, out)
         assert ds.samples.shape == (3, 16)
         assert load_image_dataset(out).image_shape == (4, 4, 1)
+
+    @pytest.mark.parametrize("shapes", [[(4, 4), (5, 5)],
+                                        [(4, 4, 1), (5, 5, 1)],
+                                        [(4, 4), (4, 4, 2)],
+                                        [(4,)], [(2, 2, 1, 1)]])
+    def test_npy_converter_rejects_bad_shapes(self, tmp_path, shapes):
+        from flowcond.persist import convert_npy_images
+        paths = []
+        for i, shape in enumerate(shapes):
+            p = tmp_path / f"img{i}.npy"
+            np.save(p, np.full(shape, 0.5))
+            paths.append(p)
+        out = tmp_path / "out.flwi"
+        with pytest.raises(PersistError):
+            convert_npy_images(paths, out)
+        assert not out.exists()
 
 
 class TestSyntheticDatasets:

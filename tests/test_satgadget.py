@@ -10,7 +10,7 @@ import pytest
 from flowcond.satgadget import (CnfFormula, GadgetError,
                                 GadgetFlow, all_corners, compile_gadget,
                                 conditional_sat_demo, decode_assignment,
-                                default_output_scale, delta_eps, eval_gadget,
+                                default_output_scale, delta_eps,
                                 load_dimacs, parse_dimacs,
                                 random_satisfiable_formula, save_dimacs,
                                 to_dimacs, transformed_var, _std_normal_tail)
@@ -121,7 +121,7 @@ class TestCompileAndEval:
 
     def test_eval_gadget_function_form(self):
         g = compile_gadget(SINGLE, 0.25, 2.0)
-        assert eval_gadget(g, np.ones(3)) == pytest.approx(2.0)
+        assert g.eval(np.ones(3)) == pytest.approx(2.0)
 
 
 class TestDecode:
