@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffengine as de
-from .flows import FlowModel, ParamBinder, gaussian_logpdf_node
+from .flows import FlowModel, gaussian_logpdf_node
 from .measurement import Observation
 from .objective import SmoothingSpec
 from .training import TrainConfig, _fit, stream_rng
@@ -58,8 +58,8 @@ class Chain:
         return len(self.states)
 
 
-def _target_nodes(bind, base, obs, beta, z_node):
-    x, _ = base.forward_node(bind, z_node)
+def _target_nodes(base, obs, beta, z_node):
+    x, _ = base.forward_node(None, z_node)
     y = obs.op.apply_node(x)
     target = z_node.graph.constant(obs.y_star[None, :].repeat(z_node.value.shape[0], axis=0))
     pen = (y - target).square().sum(axis=1)
@@ -78,9 +78,8 @@ def lmc_sample(base: FlowModel, obs: Observation, smoothing: SmoothingSpec,
     root_eta = math.sqrt(eta)
     for t in range(config.chain_length):
         g = de.Graph()
-        bind = ParamBinder(g)
         zn = g.leaf(z)
-        tgt = _target_nodes(bind, base, obs, smoothing.beta, zn)
+        tgt = _target_nodes(base, obs, smoothing.beta, zn)
         scalar = tgt.sum()
         if not np.isfinite(scalar.value):
             raise BaselineError(f"non-finite chain state at step {t}")
@@ -133,7 +132,7 @@ def _optimize_latent(base, obs, z0, lr, steps, lam):
 
     def step_loss(bind, step):
         zn = bind(z)
-        x, _ = base.forward_node(bind, zn)
+        x, _ = base.forward_node(None, zn)
         loss = (obs.op.apply_node(x) - bind.graph.constant(target)).square().sum()
         if lam != 0.0:
             loss = loss + lam * zn.square().sum()

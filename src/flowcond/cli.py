@@ -377,12 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowcond",
         description="conditional inference experiments on flow priors")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="run config file")
-        p.add_argument("--set", action="append", default=[], metavar="S.K=V",
-                       help="override a config value (repeatable)")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="run config file")
+    parser.add_argument("--set", action="append", default=[], metavar="S.K=V",
+                        help="override a config value (repeatable)")
     return parser
 
 

@@ -7,9 +7,17 @@ into a bijection on R^d with a standard-normal prior; :class:`ComposedSampler`
 pairs a trainable pre-generator with a frozen base flow, which is the
 conditional sampler everything else revolves around.
 
-All forward/inverse passes run on the diffengine tape so that losses built
-on top of them get exact gradients.  The array-facing methods build a
-throwaway graph internally.
+Every layer has two forms of each pass.  ``forward_array``/``inverse_array``
+are plain numpy: :meth:`FlowModel.forward`, ``inverse``, ``log_prob``,
+``sample`` and all of :class:`ComposedSampler` use them, so no graph is
+built where no gradient is taken.  ``forward_node``/``inverse_node`` put
+the same arithmetic on the diffengine tape for the losses: a coupling
+layer records one gather, one conditioner node and one coupling node, each
+with a hand-written vector-Jacobian product (the additive/affine coupling
+Jacobians of RealNVP, Dinh et al., arXiv:1605.08803).  Both forms give the
+same values bit for bit.  Passed ``bind=None``, a tape pass treats the
+weights as constants and computes no weight gradients, which is how the
+frozen base runs inside the losses.
 """
 
 from __future__ import annotations
@@ -102,14 +110,60 @@ class Mlp:
     def parameters(self) -> list[np.ndarray]:
         return self.weights + self.biases
 
-    def forward_node(self, bind: ParamBinder, x: de.Node) -> de.Node:
-        ones = x.graph.constant(np.ones((x.value.shape[0], 1)))
+    def _run(self, x, weights, biases, acts=None):
+        """Output of the dense-tanh stack; appends the input of each layer
+        to ``acts`` when given."""
         h = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = de.matmul(h, bind(w)) + de.matmul(ones, bind(b))
-            if i < len(self.weights) - 1:
-                h = h.tanh()
+        last = len(weights) - 1
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if acts is not None:
+                acts.append(h)
+            h = h @ w
+            h += b
+            if i < last:
+                np.tanh(h, out=h)
         return h
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        return self._run(x, self.weights, self.biases)
+
+    def forward_node(self, bind: ParamBinder | None, x: de.Node,
+                     context: de.Node | None = None) -> de.Node:
+        """The whole network as one tape node on the input ``[x, context]``.
+
+        With a binder the node's parents include the bound weights and its
+        vector-Jacobian product returns their gradients; with ``bind=None``
+        the weights are constants and only the inputs get adjoints.
+        """
+        inputs = (x,) if context is None else (x, context)
+        inp = x.value if context is None else \
+            np.concatenate([x.value, context.value], axis=1)
+        if bind is None:
+            leaves = ()
+            weights, biases = self.weights, self.biases
+        else:
+            leaves = tuple(bind(p) for p in self.weights + self.biases)
+            values = [leaf.value for leaf in leaves]
+            weights, biases = values[:len(self.weights)], values[len(self.weights):]
+        acts = []
+        out = self._run(inp, weights, biases, acts)
+        ones = np.ones((inp.shape[0], 1))
+        width = x.value.shape[1]
+
+        def vjp(g):
+            grad_w, grad_b = [], []
+            for i in reversed(range(len(weights))):
+                a = acts[i]
+                if leaves:
+                    grad_w.append(a.T @ g)
+                    grad_b.append(ones.T @ g)
+                g = g @ weights[i].T
+                if i > 0:
+                    g = g * (1.0 - a * a)
+            g_in = (g,) if context is None else (g[:, :width], g[:, width:])
+            return g_in + tuple(reversed(grad_w)) + tuple(reversed(grad_b))
+
+        return de.Node(x.graph, out, inputs + leaves, vjp)
 
     def copy(self) -> "Mlp":
         out = object.__new__(Mlp)
@@ -131,6 +185,12 @@ class Permutation:
 
     def state_arrays(self):
         return []
+
+    def forward_array(self, x, context=None):
+        return x[:, self.perm], None
+
+    def inverse_array(self, y, context=None):
+        return y[:, self.inv], None
 
     def forward_node(self, bind, x, context=None):
         return de.take(x, self.perm, axis=1), None
@@ -169,6 +229,12 @@ class DiagonalAffine:
     def state_arrays(self):
         return [self.scale, self.shift]
 
+    def forward_array(self, x, context=None):
+        return x * self.scale + self.shift, np.full(x.shape[0], self.logdet)
+
+    def inverse_array(self, y, context=None):
+        return (y - self.shift) * (1.0 / self.scale), np.full(y.shape[0], -self.logdet)
+
     def forward_node(self, bind, x, context=None):
         n = x.value.shape[0]
         s = x.graph.constant(np.tile(self.scale, (n, 1)))
@@ -206,7 +272,6 @@ class CouplingLayer:
             raise FlowError("partition must split 0..d-1 into disjoint sets")
         self.conditioner = conditioner
         self.context_width = int(context_width)
-        self._order = np.argsort(both)
         k = len(self.idx_out)
         expected_out = k if kind == "additive" else 2 * k
         expected_in = len(self.idx_cond) + self.context_width
@@ -221,42 +286,113 @@ class CouplingLayer:
     def state_arrays(self):
         return self.conditioner.parameters()
 
-    def _net(self, bind, xc, context):
-        if self.context_width:
-            if context is None:
-                raise FlowError("conditional layer evaluated without context")
-            xc = de.concat([xc, context], axis=1)
-        return self.conditioner.forward_node(bind, xc)
+    def _net_input(self, xc, context):
+        if not self.context_width:
+            return xc
+        if context is None:
+            raise FlowError("conditional layer evaluated without context")
+        return np.concatenate([xc, context], axis=1)
 
-    def _reassemble(self, xc, yo):
-        return de.take(de.concat([xc, yo], axis=1), self._order, axis=1)
+    def _assemble(self, xc, yo):
+        y = np.empty((xc.shape[0], len(self.idx_cond) + len(self.idx_out)))
+        y[:, self.idx_cond] = xc
+        y[:, self.idx_out] = yo
+        return y
+
+    def _couple(self, xo, h, inverse):
+        """The coupled half and the log-det (None when additive) of one
+        pass, and for affine layers what its adjoint reuses: tanh of the
+        raw scale, the factor applied (the scale, or its reciprocal going
+        back) and the operand it multiplied."""
+        if self.kind == "additive":
+            return (xo - h if inverse else xo + h), None, None
+        k = len(self.idx_out)
+        shift = h[:, :k]
+        t = np.tanh(h[:, k:])
+        log_scale = math.log(SCALE_LIMIT) * t
+        if not inverse:
+            scale = np.exp(log_scale)
+            return xo * scale + shift, np.sum(log_scale, axis=1), (t, scale, xo)
+        if np.min(np.abs(np.exp(log_scale))) < _SCALE_FLOOR:
+            raise SingularScale("affine scale below invertibility floor")
+        centred = xo - shift
+        inv_scale = np.exp(-1.0 * log_scale)
+        return (centred * inv_scale, -1.0 * np.sum(log_scale, axis=1),
+                (t, inv_scale, centred))
+
+    def forward_array(self, x, context=None):
+        xc = x[:, self.idx_cond]
+        h = self.conditioner.forward_array(self._net_input(xc, context))
+        yo, ld, _ = self._couple(x[:, self.idx_out], h, inverse=False)
+        return self._assemble(xc, yo), ld
+
+    def inverse_array(self, y, context=None):
+        yc = y[:, self.idx_cond]
+        h = self.conditioner.forward_array(self._net_input(yc, context))
+        xo, ld, _ = self._couple(y[:, self.idx_out], h, inverse=True)
+        return self._assemble(yc, xo), ld
 
     def forward_node(self, bind, x, context=None):
-        xc = de.take(x, self.idx_cond, axis=1)
-        xo = de.take(x, self.idx_out, axis=1)
-        h = self._net(bind, xc, context)
-        if self.kind == "additive":
-            return self._reassemble(xc, xo + h), None
-        k = len(self.idx_out)
-        shift, raw = de.split(h, [k, k], axis=1)
-        log_scale = math.log(SCALE_LIMIT) * raw.tanh()
-        yo = xo * log_scale.exp() + shift
-        return self._reassemble(xc, yo), log_scale.sum(axis=1)
+        return self._coupling_node(bind, x, context, inverse=False)
 
     def inverse_node(self, bind, y, context=None):
-        yc = de.take(y, self.idx_cond, axis=1)
-        yo = de.take(y, self.idx_out, axis=1)
-        h = self._net(bind, yc, context)
-        if self.kind == "additive":
-            return self._reassemble(yc, yo - h), None
-        k = len(self.idx_out)
-        shift, raw = de.split(h, [k, k], axis=1)
-        log_scale = math.log(SCALE_LIMIT) * raw.tanh()
-        scale = log_scale.exp()
-        if np.min(np.abs(scale.value)) < _SCALE_FLOOR:
-            raise SingularScale("affine scale below invertibility floor")
-        xo = (yo - shift) * (-1.0 * log_scale).exp()
-        return self._reassemble(yc, xo), -1.0 * log_scale.sum(axis=1)
+        return self._coupling_node(bind, y, context, inverse=True)
+
+    def _coupling_node(self, bind, x, context, inverse):
+        """One pass on the tape: the gather of the conditioning half, the
+        conditioner node and one coupling node.  For affine layers the
+        coupling node's value is the output with the log-det appended as a
+        last column, and the pass returns two nodes that read it."""
+        if self.context_width and context is None:
+            raise FlowError("conditional layer evaluated without context")
+        xc = de.take(x, self.idx_cond, axis=1)
+        h = self.conditioner.forward_node(
+            bind, xc, context if self.context_width else None)
+        yo, ld, saved = self._couple(x.value[:, self.idx_out], h.value, inverse)
+        y = self._assemble(xc.value, yo)
+        idx_cond, idx_out = self.idx_cond, self.idx_out
+        n, d = y.shape
+
+        def input_adjoints(g_y, g_xo):
+            g_x = np.zeros((n, d))
+            g_x[:, idx_out] += g_xo
+            return g_x, g_y[:, idx_cond]
+
+        if saved is None:
+            kc = len(idx_cond)
+
+            def vjp(g):
+                # The conditioner's adjoint keeps the memory layout of the
+                # per-op path (tests/flow_reference.py), a column block of an
+                # (n, d) array: the matmuls of its backward pass round
+                # differently on a contiguous copy.
+                g_o = np.empty((n, d))[:, kc:]
+                g_o[...] = g[:, idx_out]
+                return input_adjoints(g, g_o) + ((-g_o if inverse else g_o),)
+
+            return de.Node(x.graph, y, (x, xc, h), vjp), None
+
+        t, factor, operand = saved
+        log_limit = math.log(SCALE_LIMIT)
+
+        def vjp(g):
+            # products and sums in the order of the per-op path
+            g_y, g_ld = g[:, :d], g[:, d]
+            g_o = g_y[:, idx_out]
+            g_xo = g_o * factor
+            if inverse:
+                g_shift = -g_xo
+                g_ls = -1.0 * ((g_o * operand) * factor) + (-1.0 * g_ld)[:, None]
+            else:
+                g_shift = g_o
+                g_ls = (g_o * operand) * factor + g_ld[:, None]
+            g_raw = (log_limit * g_ls) * (1.0 - t * t)
+            return input_adjoints(g_y, g_xo) + \
+                (np.concatenate([g_shift, g_raw], axis=1),)
+
+        node = de.Node(x.graph, np.concatenate([y, ld[:, None]], axis=1),
+                       (x, xc, h), vjp)
+        return _column_node(node, y, slice(0, d)), _column_node(node, ld, d)
 
     def copy(self):
         out = object.__new__(CouplingLayer)
@@ -265,8 +401,18 @@ class CouplingLayer:
         out.idx_out = self.idx_out.copy()
         out.conditioner = self.conditioner.copy()
         out.context_width = self.context_width
-        out._order = self._order.copy()
         return out
+
+
+def _column_node(node, value, columns):
+    """A tape node reading ``node.value[:, columns]``; ``value`` is that
+    slice, computed by the caller."""
+    def vjp(g):
+        out = np.zeros(node.value.shape)
+        out[:, columns] = g
+        return (out,)
+
+    return de.Node(node.graph, value, (node,), vjp)
 
 
 def _as_batch(x, dim, what):
@@ -293,7 +439,7 @@ class FlowModel:
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.parameters()]
 
-    # ---- tape-level passes ----
+    # ---- tape passes; bind=None treats the weights as constants ----
 
     def forward_node(self, bind, z: de.Node, context: de.Node | None = None):
         x, ld = z, None
@@ -315,7 +461,7 @@ class FlowModel:
             ld = z.graph.constant(np.zeros(z.value.shape[0]))
         return z, ld
 
-    def context_node(self, graph, context, n):
+    def _context(self, context, n):
         if self.context_width == 0:
             return None
         if context is None:
@@ -325,29 +471,38 @@ class FlowModel:
             ctx = np.tile(ctx, (n, 1))
         if ctx.shape != (n, self.context_width):
             raise FlowError(f"context shape {ctx.shape} != ({n}, {self.context_width})")
-        return graph.constant(ctx)
+        return ctx
 
-    # ---- array front ----
+    def context_node(self, graph, context, n):
+        ctx = self._context(context, n)
+        return None if ctx is None else graph.constant(ctx)
+
+    # ---- array front (plain numpy, no tape) ----
+
+    def _array_pass(self, arr, context, inverse):
+        ctx = self._context(context, arr.shape[0])
+        out, ld = arr, None
+        for layer in (reversed(self.layers) if inverse else self.layers):
+            out, l = (layer.inverse_array if inverse else layer.forward_array)(out, ctx)
+            if l is not None:
+                ld = l if ld is None else ld + l
+        if ld is None:
+            ld = np.zeros(arr.shape[0])
+        return (arr.copy() if out is arr else out), ld
 
     def forward(self, z, context=None):
         arr, single = _as_batch(z, self.dim, "forward")
-        g = de.Graph()
-        zn = g.constant(arr)
-        xn, ld = self.forward_node(ParamBinder(g), zn,
-                                   self.context_node(g, context, arr.shape[0]))
+        x, ld = self._array_pass(arr, context, inverse=False)
         if single:
-            return xn.value[0].copy(), float(ld.value[0])
-        return xn.value.copy(), ld.value.copy()
+            return x[0].copy(), float(ld[0])
+        return x, ld
 
     def inverse(self, x, context=None):
         arr, single = _as_batch(x, self.dim, "inverse")
-        g = de.Graph()
-        xn = g.constant(arr)
-        zn, ld = self.inverse_node(ParamBinder(g), xn,
-                                   self.context_node(g, context, arr.shape[0]))
+        z, ld = self._array_pass(arr, context, inverse=True)
         if single:
-            return zn.value[0].copy(), float(ld.value[0])
-        return zn.value.copy(), ld.value.copy()
+            return z[0].copy(), float(ld[0])
+        return z, ld
 
     def log_prob(self, x, context=None):
         arr, single = _as_batch(x, self.dim, "log_prob")

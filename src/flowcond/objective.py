@@ -113,7 +113,7 @@ def svi_loss_nodes(bind: ParamBinder, cs: ComposedSampler, obs: Observation,
     g = bind.graph
     terms, z = latent_kl_terms_node(bind, cs, g.constant(eps), context)
     kl = terms.mean()
-    x, _ = cs.base.forward_node(bind, z)
+    x, _ = cs.base.forward_node(None, z)
     pen = _penalty_node(x, obs, smoothing)
     return kl, pen, kl + pen
 
@@ -140,7 +140,7 @@ def ambient_vi_loss_nodes(bind: ParamBinder, q: FlowModel, base: FlowModel,
     eps_node = g.constant(eps)
     x, ld_q = q.forward_node(bind, eps_node)
     log_q = gaussian_logpdf_node(eps_node) - ld_q
-    z, ld_inv = base.inverse_node(bind, x)
+    z, ld_inv = base.inverse_node(None, x)
     log_p = gaussian_logpdf_node(z) + ld_inv
     kl = (log_q - log_p).mean()
     pen = _penalty_node(x, obs, smoothing)
@@ -185,7 +185,7 @@ def _kl_discrete(p, q, weight):
 
 
 def _chunked_log_prob(log_prob, points, chunk=8192):
-    """Evaluate a log-density over many points in slabs (bounds tape memory)."""
+    """Evaluate a log-density over many points in slabs."""
     out = np.empty(len(points))
     for lo in range(0, len(points), chunk):
         out[lo:lo + chunk] = log_prob(points[lo:lo + chunk])

@@ -525,17 +525,45 @@ def write_manifest(output_dir, cfg: RunConfig, command: str) -> Path:
     return path
 
 
+def _lock_is_stale(lock: Path) -> bool:
+    """Whether ``lock`` names a process that no longer exists.  A lock that
+    cannot be read, or whose process belongs to another user, is held."""
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):
+        return False
+    return False
+
+
 @contextlib.contextmanager
 def output_lock(output_dir):
-    """Guard an output directory against concurrent runs."""
+    """Guard an output directory against concurrent runs.  The lock file
+    holds the pid of its run; a lock whose process is gone is removed and
+    taken once more."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
+    busy = LockError(f"output directory {out} is locked by another run "
+                     f"(remove {lock} if stale)")
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise LockError(f"output directory {out} is locked by another run "
-                        f"(remove {lock} if stale)")
+        if not _lock_is_stale(lock):
+            raise busy from None
+        with contextlib.suppress(FileNotFoundError):
+            lock.unlink()
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise busy from None
     try:
         os.write(fd, f"{os.getpid()}\n".encode("ascii"))
         os.close(fd)

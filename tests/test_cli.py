@@ -4,6 +4,7 @@ its outputs bit-for-bit under a fixed seed; every inference command
 accepts the same problem configs, and README's config-key list matches the
 keys the code reads."""
 
+import os
 import re
 from pathlib import Path
 
@@ -367,9 +368,18 @@ output_dir = {tmp_path / "x"}
     def test_lock_contention_is_runtime_failure(self, tmp_path, trained_base):
         out = tmp_path / "busy"
         out.mkdir()
-        (out / ".lock").write_text("123")
+        (out / ".lock").write_text(f"{os.getpid()}\n")
         cfg = infer_config(tmp_path, trained_base, out_name="busy")
         assert main(["infer", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("argv", [["bogus", "--config", "run.cfg"],
+                                      ["infer"]],
+                             ids=["unknown-command", "missing-config"])
+    def test_bad_arguments_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: flowcond" in capsys.readouterr().err
 
 
 class TestImageTasks:

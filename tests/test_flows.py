@@ -3,6 +3,7 @@ finite-difference Jacobian oracle, densities against grid quadrature, and
 the composed-sampler identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from flowcond import diffengine as de
 from flowcond.flows import (ComposedSampler, CouplingLayer, DiagonalAffine,
                             FlowModel, Mlp, ParamBinder, SingularScale,
                             gaussian_logpdf, gaussian_logpdf_node, make_flow)
+from flowcond.training import default_pre_generator
 
 
 def perturbed_flow(dim, kind, seed, scale=0.3, **kw):
@@ -193,6 +195,22 @@ class TestComposedSampler:
         log_px = gaussian_logpdf(z_back) + ld_inv
         ambient_terms = log_qx - log_px
         np.testing.assert_allclose(latent_terms, ambient_terms, atol=1e-9)
+
+    def test_sample_set_builds_no_graph(self):
+        # a tape recorded for these draws would hold ~66 KB a draw (328 MB);
+        # the plain-numpy passes hold a few (5000, 64) arrays at a time
+        rng = np.random.default_rng(35)
+        cs = ComposedSampler(default_pre_generator(2, 0),
+                             make_flow(2, num_layers=10, rng=rng))
+        for p in cs.pre.parameters() + cs.base.parameters():
+            p += 0.1 * rng.standard_normal(p.shape)
+        tracemalloc.start()
+        try:
+            cs.sample(5000, np.random.default_rng(36))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(Exception, match="dimension"):

@@ -2,6 +2,10 @@
 detection, dataset generators, config parsing/validation, and the
 output-directory lock."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -303,6 +307,27 @@ class TestOutputLock:
                 with output_lock(out):
                     pass
         assert not (out / ".lock").exists()
+
+    def test_dead_pid_lock_is_reclaimed(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text(f"{child.pid}\n")
+        with output_lock(out):
+            assert (out / ".lock").read_text() == f"{os.getpid()}\n"
+        assert not (out / ".lock").exists()
+
+    @pytest.mark.parametrize("content", [f"{os.getpid()}\n", "", "not a pid"],
+                             ids=["live-pid", "empty", "garbage"])
+    def test_held_or_unreadable_lock_is_kept(self, tmp_path, content):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text(content)
+        with pytest.raises(LockError):
+            with output_lock(out):
+                pass
+        assert (out / ".lock").read_text() == content
 
     def test_released_on_error(self, tmp_path):
         out = tmp_path / "out"
