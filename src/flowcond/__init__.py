@@ -11,12 +11,12 @@ CNF-to-flow construction showing why exact conditioning is intractable.
 from .baselines import (Chain, LmcConfig, PointEstimate, csgm_estimate,
                         ivom_estimate, lmc_sample)
 from .diffengine import Graph, backward, check_gradients
-from .estimators import (PixelMarginal, SampleSet, diversity, mmse_estimate,
-                         mse, mse_decomposition, pixel_marginal, psnr)
+from .estimators import (PixelMarginal, diversity, mmse_estimate, mse,
+                         mse_decomposition, pixel_marginal, psnr)
 from .flows import (ComposedSampler, CouplingLayer, DiagonalAffine, FlowModel,
                     Mlp, Permutation, gaussian_logpdf, make_flow)
 from .measurement import (Downsample2xOp, GaussianOp, GrayscaleOp, MaskOp,
-                          Observation, make_gaussian_op, make_observation)
+                          Observation, make_observation)
 from .objective import (GridSpec, LossBreakdown, SmoothingSpec,
                         ambient_vi_loss, joint_vs_marginal_gap,
                         latent_kl_estimate, svi_loss)

@@ -31,7 +31,6 @@ class LmcConfig:
     burn_in: int | None = None     # default: 20% of the chain
     thinning: int = 1
     seed: int = 0
-    sigma: float = 0.1
 
     def __post_init__(self):
         if self.step_size < 0.0:
@@ -46,13 +45,15 @@ class LmcConfig:
 
 @dataclass
 class Chain:
-    """Retained latent states (post burn-in, thinned) and their unnormalized
-    log-target values.  The drift convention is the half-step one:
+    """Retained latent states (post burn-in, thinned), their unnormalized
+    log-target values, the config and the smoothing width the chain ran
+    at.  The drift convention is the half-step one:
     z' = z + (eta/2) grad + sqrt(eta) xi."""
 
     states: np.ndarray
     log_targets: np.ndarray
     config: LmcConfig
+    sigma: float
 
     def __len__(self):
         return len(self.states)
@@ -90,14 +91,14 @@ def lmc_sample(base: FlowModel, obs: Observation, smoothing: SmoothingSpec,
         noise = stream_rng(config.seed, "lmc-noise", t).standard_normal((1, d))
         z = z + 0.5 * eta * grad + root_eta * noise
     return Chain(states=np.asarray(states), log_targets=np.asarray(log_targets),
-                 config=config)
+                 config=config, sigma=smoothing.sigma)
 
 
 def save_chain(chain: Chain, path) -> None:
     cfg = chain.config
     header = (f"# d={chain.states.shape[1]} step_size={cfg.step_size!r} "
               f"chain_length={cfg.chain_length} burn_in={cfg.burn_in} "
-              f"thinning={cfg.thinning} seed={cfg.seed} sigma={cfg.sigma!r} "
+              f"thinning={cfg.thinning} seed={cfg.seed} sigma={chain.sigma!r} "
               f"drift=half-step")
     with open(path, "w", encoding="ascii") as f:
         f.write(header + "\n")

@@ -129,8 +129,7 @@ def _problem(cfg: RunConfig, dim: int):
         gt = None
         if cfg.has("observe", "gt_path"):
             gt = persist.load_array(cfg.get("observe", "gt_path"))[0]
-        return op, Observation(y_star=y, op=op, ground_truth=gt,
-                               noise_sigma=cfg.getfloat("observe", "noise_sigma", 0.0))
+        return op, Observation(y_star=y, op=op, ground_truth=gt)
     if source != "synthetic":
         raise ConfigError("observe.source", f"unknown source {source!r}")
     gt = _ground_truth(cfg, ds)
@@ -192,7 +191,7 @@ def cmd_infer(cfg: RunConfig, out: Path) -> str:
 def cmd_lmc(cfg: RunConfig, out: Path) -> str:
     base = _load_base(cfg)
     _, obs = _problem(cfg, base.dim)
-    sigma = cfg.getfloat("train", "sigma", 0.1)
+    smoothing = SmoothingSpec(cfg.getfloat("train", "sigma", 0.1))
     n_chains = cfg.getint("lmc", "n_chains", 1)
     burn = cfg.get("lmc", "burn_in", "")
     xs = []
@@ -202,9 +201,8 @@ def cmd_lmc(cfg: RunConfig, out: Path) -> str:
             chain_length=cfg.getint("lmc", "chain_length", 4000),
             burn_in=int(burn) if burn else None,
             thinning=cfg.getint("lmc", "thinning", 1),
-            seed=cfg.seed + c,
-            sigma=sigma)
-        chain = baselines.lmc_sample(base, obs, SmoothingSpec(sigma), config)
+            seed=cfg.seed + c)
+        chain = baselines.lmc_sample(base, obs, smoothing, config)
         baselines.save_chain(chain, out / f"chain_{c}.csv")
         xs.append(base.forward(chain.states)[0])
     samples = np.concatenate(xs, axis=0)
@@ -281,28 +279,27 @@ def cmd_amortized_infer(cfg: RunConfig, out: Path) -> str:
 
 def cmd_eval(cfg: RunConfig, out: Path) -> str:
     samples = persist.load_array(cfg.get("eval", "samples_path"))
-    sset = estimators.SampleSet(samples, cfg.get("eval", "provenance", "svi"),
-                                cfg.seed)
-    rows = [("n_samples", float(sset.n)), ("dim", float(sset.dim))]
-    center = estimators.mmse_estimate(sset)
+    center = estimators.mmse_estimate(samples)
+    n, dim = samples.shape
+    rows = [("n_samples", float(n)), ("dim", float(dim))]
     if cfg.has("eval", "gt_path"):
         gt = persist.load_array(cfg.get("eval", "gt_path"))[0]
-        per_sample, center_mse, spread = estimators.mse_decomposition(sset, gt)
+        per_sample, center_mse, spread = estimators.mse_decomposition(samples, gt)
         rows += [("mse_mmse", center_mse), ("mean_mse_single", per_sample),
                  ("mean_sample_variance", spread),
                  ("psnr_mmse", estimators.psnr(center, gt))]
-    if sset.n >= 2:
-        rows.append(("diversity", estimators.diversity(sset)))
+    if n >= 2:
+        rows.append(("diversity", estimators.diversity(samples)))
     if cfg.has("eval", "y_path"):
-        op, _ = _operator(cfg, sset.dim)
+        op, _ = _operator(cfg, dim)
         y = persist.load_array(cfg.get("eval", "y_path"))[0]
         obs = Observation(y_star=y, op=op)
-        rows.append(("mean_residual", _mean_residual(sset.samples, obs)))
+        rows.append(("mean_residual", _mean_residual(samples, obs)))
     lines = ["metric,value"] + [f"{k},{v!r}" for k, v in rows]
     (out / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     if cfg.has("eval", "marginals"):
         for coord in cfg.getints("eval", "marginals"):
-            pm = estimators.pixel_marginal(sset, coord)
+            pm = estimators.pixel_marginal(samples, coord)
             estimators.export_pixel_marginal(pm, out / f"marginal_{coord}.txt")
     shown = ", ".join(f"{k}={v:.5g}" for k, v in rows[2:6])
     return f"eval: {shown} -> {out / 'metrics.csv'}"

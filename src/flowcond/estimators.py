@@ -10,34 +10,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# KDE bandwidth for degenerate columns, and the KDE's grid size
+_BANDWIDTH_FLOOR = 1e-4
+_GRID_POINTS = 512
+
+
 class EstimatorError(ValueError):
     pass
 
 
-@dataclass
-class SampleSet:
-    """Posterior draws (n, d) plus where they came from."""
-
-    samples: np.ndarray
-    provenance: str = "svi"       # svi | lmc | amortized
-    seed: int = 0
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 2 or self.samples.shape[0] < 1:
-            raise EstimatorError("SampleSet needs a non-empty (n, d) array")
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
-
 def _samples(x) -> np.ndarray:
-    return x.samples if isinstance(x, SampleSet) else np.asarray(x, dtype=np.float64)
+    s = np.asarray(x, dtype=np.float64)
+    if s.ndim != 2 or s.shape[0] < 1:
+        raise EstimatorError("samples must be a non-empty (n, d) array")
+    return s
 
 
 def mmse_estimate(samples) -> np.ndarray:
@@ -105,23 +91,21 @@ class PixelMarginal:
     bandwidth: float
 
 
-def silverman_bandwidth(values: np.ndarray, floor: float = 1e-4) -> float:
+def silverman_bandwidth(values: np.ndarray) -> float:
     """Rule-of-thumb kernel width 0.9 min(std, IQR/1.34) n^(-1/5), floored
     for degenerate samples."""
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
     if n < 2:
-        return floor
+        return _BANDWIDTH_FLOOR
     std = float(v.std(ddof=1))
     q75, q25 = np.percentile(v, [75.0, 25.0])
     iqr = float(q75 - q25)
     scale = min(std, iqr / 1.34) if iqr > 0.0 else std
-    return max(0.9 * scale * n ** (-0.2), floor)
+    return max(0.9 * scale * n ** (-0.2), _BANDWIDTH_FLOOR)
 
 
-def pixel_marginal(samples, coordinate: int, bins: int = 50,
-                   bandwidth: float | None = None,
-                   grid_points: int = 512) -> PixelMarginal:
+def pixel_marginal(samples, coordinate: int, bins: int = 50) -> PixelMarginal:
     """Histogram plus Gaussian kernel density of one coordinate's draws."""
     s = _samples(samples)
     if not 0 <= coordinate < s.shape[1]:
@@ -133,10 +117,8 @@ def pixel_marginal(samples, coordinate: int, bins: int = 50,
     if hi == lo:
         hi = lo + 1e-8
     counts, edges = np.histogram(v, bins=bins, range=(lo, hi))
-    bw = silverman_bandwidth(v) if bandwidth is None else float(bandwidth)
-    if bw <= 0.0:
-        raise EstimatorError("bandwidth must be positive")
-    grid = np.linspace(lo - 4.0 * bw, hi + 4.0 * bw, grid_points)
+    bw = silverman_bandwidth(v)
+    grid = np.linspace(lo - 4.0 * bw, hi + 4.0 * bw, _GRID_POINTS)
     z = (grid[:, None] - v[None, :]) / bw
     density = np.exp(-0.5 * z * z).mean(axis=1) / (bw * math.sqrt(2.0 * math.pi))
     return PixelMarginal(coordinate=coordinate, bin_edges=edges, counts=counts,

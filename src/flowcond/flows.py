@@ -41,7 +41,8 @@ class FlowError(ValueError):
 
 
 class SingularScale(FlowError):
-    """Affine scale underflowed the invertibility floor."""
+    """Diagonal-affine scale below the invertibility floor.  Coupling
+    scales need no such check: they stay in [1/SCALE_LIMIT, SCALE_LIMIT]."""
 
 
 def gaussian_logpdf(x: np.ndarray) -> np.ndarray:
@@ -313,8 +314,6 @@ class CouplingLayer:
         if not inverse:
             scale = np.exp(log_scale)
             return xo * scale + shift, np.sum(log_scale, axis=1), (t, scale, xo)
-        if np.min(np.abs(np.exp(log_scale))) < _SCALE_FLOOR:
-            raise SingularScale("affine scale below invertibility floor")
         centred = xo - shift
         inv_scale = np.exp(-1.0 * log_scale)
         return (centred * inv_scale, -1.0 * np.sum(log_scale, axis=1),
@@ -441,25 +440,22 @@ class FlowModel:
 
     # ---- tape passes; bind=None treats the weights as constants ----
 
-    def forward_node(self, bind, z: de.Node, context: de.Node | None = None):
-        x, ld = z, None
-        for layer in self.layers:
-            x, l = layer.forward_node(bind, x, context)
+    def _node_pass(self, bind, node, context, inverse):
+        out, ld = node, None
+        for layer in (reversed(self.layers) if inverse else self.layers):
+            out, l = (layer.inverse_node if inverse else layer.forward_node)(
+                bind, out, context)
             if l is not None:
                 ld = l if ld is None else ld + l
         if ld is None:
-            ld = x.graph.constant(np.zeros(x.value.shape[0]))
-        return x, ld
+            ld = out.graph.constant(np.zeros(out.value.shape[0]))
+        return out, ld
+
+    def forward_node(self, bind, z: de.Node, context: de.Node | None = None):
+        return self._node_pass(bind, z, context, inverse=False)
 
     def inverse_node(self, bind, x: de.Node, context: de.Node | None = None):
-        z, ld = x, None
-        for layer in reversed(self.layers):
-            z, l = layer.inverse_node(bind, z, context)
-            if l is not None:
-                ld = l if ld is None else ld + l
-        if ld is None:
-            ld = z.graph.constant(np.zeros(z.value.shape[0]))
-        return z, ld
+        return self._node_pass(bind, x, context, inverse=True)
 
     def _context(self, context, n):
         if self.context_width == 0:

@@ -115,10 +115,6 @@ class GaussianOp(_MatrixOp):
         self.seed = int(seed)
 
 
-def make_gaussian_op(seed: int, m: int, d: int) -> GaussianOp:
-    return GaussianOp(seed, m, d)
-
-
 class Downsample2xOp(_MatrixOp):
     """Average non-overlapping 2x2 pixel blocks per channel (channel-last)."""
 
@@ -161,12 +157,11 @@ class GrayscaleOp(_MatrixOp):
 
 @dataclass
 class Observation:
-    """A measured vector y* = A(x) (+ optional recorded noise)."""
+    """A measured vector y* = A(x) (+ noise), and the truth when known."""
 
     y_star: np.ndarray
     op: MeasurementOp
     ground_truth: np.ndarray | None = None
-    noise_sigma: float = 0.0
 
     def __post_init__(self):
         self.y_star = np.asarray(self.y_star, dtype=np.float64)
@@ -187,7 +182,7 @@ def make_observation(op: MeasurementOp, x_true, noise_sigma: float = 0.0,
         if rng is None:
             raise MeasurementError("noise requested without an rng")
         y = y + noise_sigma * rng.standard_normal(op.output_dim)
-    return Observation(y_star=y, op=op, ground_truth=x_true, noise_sigma=noise_sigma)
+    return Observation(y_star=y, op=op, ground_truth=x_true)
 
 
 def save_mask_file(path, indices) -> None:

@@ -18,11 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffengine as de
-from .flows import (ComposedSampler, FlowModel, ParamBinder, gaussian_logpdf,
-                    gaussian_logpdf_node)
+from .flows import ComposedSampler, FlowModel, ParamBinder, gaussian_logpdf_node
 from .measurement import Observation
-
-_DISTANCES = ("l2",)
 
 
 class ObjectiveError(ValueError):
@@ -31,21 +28,14 @@ class ObjectiveError(ValueError):
 
 @dataclass(frozen=True)
 class SmoothingSpec:
-    """Observation-noise model p(y~|y) ~ exp(-beta * d(y~, y)).
-
-    Only the squared-l2 distance ships; ``beta`` is always derived from
-    ``sigma`` (Gaussian kernel), never set independently.
-    """
+    """Gaussian observation-noise model p(y~|y) ~ exp(-beta ||y~ - y||^2);
+    ``beta`` is always derived from ``sigma``, never set independently."""
 
     sigma: float
-    distance: str = "l2"
 
     def __post_init__(self):
         if not (self.sigma > 0.0):
             raise ObjectiveError(f"sigma must be positive, got {self.sigma}")
-        if self.distance not in _DISTANCES:
-            raise ObjectiveError(
-                f"unsupported distance {self.distance!r}; available: {_DISTANCES}")
 
     @property
     def beta(self) -> float:

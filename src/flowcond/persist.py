@@ -388,8 +388,6 @@ def make_blob_images(n: int, height: int = 8, width: int = 8,
 # run configuration
 # ---------------------------------------------------------------------------
 
-TASKS = ("inpaint", "cs", "sr2x", "grayscale", "toy2d", "sat")
-
 _PATH_KEYS = ("path", "mask_path", "y_path", "gt_path", "cnf_path",
               "base_checkpoint", "conditional_checkpoint", "samples_path")
 
@@ -402,9 +400,6 @@ class RunConfig:
         self._cp = parser
         self.path = path
         self.overrides = overrides
-        self.task = self.get("run", "task")
-        if self.task not in TASKS:
-            raise ConfigError("run.task", f"must be one of {TASKS}, got {self.task!r}")
         self.output_dir = self.get("run", "output_dir")
         if not self.output_dir:
             raise ConfigError("run.output_dir", "is required")
@@ -489,10 +484,8 @@ def load_run_config(path, overrides=()) -> RunConfig:
                 p = parser.get(section, key).strip()
                 if not os.path.exists(p):
                     raise ConfigError(f"{section}.{key}", f"path does not exist: {p}")
-    if cfg.task != "sat":
-        sigma = cfg.getfloat("train", "sigma", 0.1)
-        if not sigma > 0.0:
-            raise ConfigError("train.sigma", "must be positive")
+    if not cfg.getfloat("train", "sigma", 0.1) > 0.0:
+        raise ConfigError("train.sigma", "must be positive")
     return cfg
 
 
@@ -515,7 +508,6 @@ def write_manifest(output_dir, cfg: RunConfig, command: str) -> Path:
         f"config={cfg.path}",
         f"config_sha256={cfg.config_hash()}",
         f"seed={cfg.seed}",
-        f"task={cfg.task}",
         f"flowcond_version={package_version()}",
         f"numpy_version={np.__version__}",
     ]

@@ -85,13 +85,15 @@ class TrainTrace:
         return "\n".join(lines) + "\n"
 
 
-class AdamState:
-    """Adam moments; defaults beta1=0.9, beta2=0.999, eps=1e-8."""
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class AdamState:
+    """Adam moments for a list of parameter arrays."""
+
+    def __init__(self, params, learning_rate: float):
         self.lr = float(learning_rate)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -100,14 +102,14 @@ class AdamState:
         """One in-place Adam step.  Zero gradients leave parameters unchanged."""
         self.step += 1
         t = self.step
-        c1 = 1.0 - self.beta1 ** t
-        c2 = 1.0 - self.beta2 ** t
+        c1 = 1.0 - _BETA1 ** t
+        c2 = 1.0 - _BETA2 ** t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
 
 
 def global_grad_norm(grads) -> float:

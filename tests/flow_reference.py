@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 from flowcond import diffengine as de
-from flowcond.flows import (_SCALE_FLOOR, SCALE_LIMIT, CouplingLayer,
-                            FlowError, Mlp, SingularScale)
+from flowcond.flows import SCALE_LIMIT, CouplingLayer, FlowError, Mlp
 
 
 def _param(bind, graph, arr):
@@ -68,9 +67,6 @@ def coupling_inverse_node(layer, bind, y, context=None):
     k = len(layer.idx_out)
     shift, raw = de.split(h, [k, k], axis=1)
     log_scale = math.log(SCALE_LIMIT) * raw.tanh()
-    scale = log_scale.exp()
-    if np.min(np.abs(scale.value)) < _SCALE_FLOOR:
-        raise SingularScale("affine scale below invertibility floor")
     xo = (yo - shift) * (-1.0 * log_scale).exp()
     return _reassemble(layer, yc, xo), -1.0 * log_scale.sum(axis=1)
 

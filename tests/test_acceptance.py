@@ -20,10 +20,10 @@ import pytest
 
 from flowcond import diffengine as de
 from flowcond.baselines import LmcConfig, lmc_sample
-from flowcond.estimators import SampleSet, mse_decomposition
+from flowcond.estimators import mse_decomposition
 from flowcond.flows import (ComposedSampler, DiagonalAffine, FlowModel,
                             gaussian_logpdf, make_flow)
-from flowcond.measurement import MaskOp, Observation, make_gaussian_op, \
+from flowcond.measurement import GaussianOp, MaskOp, Observation, \
     make_observation
 from flowcond.objective import (GridSpec, SmoothingSpec, joint_vs_marginal_gap,
                                 latent_kl_estimate, svi_loss, _chunked_log_prob)
@@ -270,8 +270,7 @@ def lmc_samples(mixture_base, mixture_observation):
     smoothing = SmoothingSpec(SIGMA)
     pooled = []
     for c in range(4):     # 4 x 3200 retained states >= 10^4 samples
-        cfg = LmcConfig(step_size=5e-4, chain_length=4000, seed=100 + c,
-                        sigma=SIGMA)
+        cfg = LmcConfig(step_size=5e-4, chain_length=4000, seed=100 + c)
         chain = lmc_sample(mixture_base, mixture_observation, smoothing, cfg)
         pooled.append(mixture_base.forward(chain.states)[0])
     return np.concatenate(pooled, axis=0)
@@ -333,15 +332,13 @@ class TestCriterion5:
         wins = 0
         worst_identity = 0.0
         for i in range(n_obs):
-            op = make_gaussian_op(seed=500 + i, m=16, d=64)
+            op = GaussianOp(seed=500 + i, m=16, d=64)
             obs = make_observation(op, truths[i])
             cfg = TrainConfig(learning_rate=1e-3, num_steps=300, batch_size=32,
                               sigma=0.05, seed=600 + i)
             pre, _ = train_svi(blob_base, obs, cfg)
-            samples = SampleSet(
-                ComposedSampler(pre, blob_base).sample(
-                    32, stream_rng(700 + i, "mmse-eval")),
-                provenance="svi", seed=700 + i)
+            samples = ComposedSampler(pre, blob_base).sample(
+                32, stream_rng(700 + i, "mmse-eval"))
             per_sample, center, spread = mse_decomposition(samples, truths[i])
             worst_identity = max(worst_identity,
                                  abs(per_sample - (center + spread)))

@@ -4,9 +4,9 @@ stationary-law oracles, and the point-estimate contracts."""
 import numpy as np
 import pytest
 
-from flowcond.baselines import (BaselineError, Chain, LmcConfig,
-                                csgm_estimate, ivom_estimate,
-                                latent_objective, lmc_sample, save_chain)
+from flowcond.baselines import (BaselineError, LmcConfig, csgm_estimate,
+                                ivom_estimate, latent_objective, lmc_sample,
+                                save_chain)
 from flowcond.flows import FlowModel
 from flowcond.measurement import MaskOp, Observation
 from flowcond.objective import SmoothingSpec
@@ -86,7 +86,7 @@ class TestLmcChain:
         sigma, y = 0.3, 0.7
         obs = Observation(y_star=np.array([y]), op=MaskOp([0], 2))
         cfg = LmcConfig(step_size=0.1, chain_length=30_000, burn_in=3000,
-                        seed=6, sigma=sigma)
+                        seed=6)
         chain = lmc_sample(identity_base(), obs, SmoothingSpec(sigma), cfg)
         x = chain.states            # identity base: x = z
         # oracle: x2 ~ N(0, 1); 20-bin histogram TV
@@ -105,8 +105,7 @@ class TestLmcChain:
     def test_nonfinite_abort_reports_step(self):
         base = perturbed_flow(2, "affine", seed=7)
         obs = Observation(y_star=np.array([0.0]), op=MaskOp([0], 2))
-        cfg = LmcConfig(step_size=1e280, chain_length=50, burn_in=0, seed=8,
-                        sigma=1e-6)
+        cfg = LmcConfig(step_size=1e280, chain_length=50, burn_in=0, seed=8)
         with pytest.raises(BaselineError, match="step"):
             lmc_sample(base, obs, SmoothingSpec(1e-6), cfg)
 
@@ -121,6 +120,8 @@ class TestLmcChain:
         assert len(lines) == 1 + len(chain)
         row = np.array([float(tok) for tok in lines[1].split(",")])
         np.testing.assert_array_equal(row, chain.states[0])
+        # the header's sigma is the smoothing the chain ran at
+        assert " sigma=1.0 " in lines[0]
 
 
 class TestIvom:

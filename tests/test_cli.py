@@ -2,8 +2,9 @@
 its artifacts and manifest, honors exit-code conventions, and reproduces
 its outputs bit-for-bit under a fixed seed; every inference command
 accepts the same problem configs, and README's config-key list matches the
-keys the code reads."""
+keys the code reads, and so do its examples."""
 
+import configparser
 import os
 import re
 from pathlib import Path
@@ -23,7 +24,6 @@ def write_cfg(path, text):
 def base_config(tmp_path, out_name="base"):
     return write_cfg(tmp_path / "base.cfg", f"""
 [run]
-task = toy2d
 output_dir = {tmp_path / out_name}
 seed = 1
 
@@ -53,7 +53,6 @@ def trained_base(tmp_path):
 def infer_config(tmp_path, ckpt, out_name="infer", steps=10):
     return write_cfg(tmp_path / f"infer-{out_name}.cfg", f"""
 [run]
-task = toy2d
 output_dir = {tmp_path / out_name}
 seed = 2
 
@@ -141,7 +140,6 @@ class TestEval:
         out = tmp_path / "infer"
         eval_cfg = write_cfg(tmp_path / "eval.cfg", f"""
 [run]
-task = toy2d
 output_dir = {tmp_path / "metrics"}
 seed = 2
 
@@ -171,7 +169,6 @@ class TestBaselineCommands:
     def test_lmc(self, tmp_path, trained_base):
         cfg = write_cfg(tmp_path / "lmc.cfg", f"""
 [run]
-task = toy2d
 output_dir = {tmp_path / "lmc"}
 seed = 3
 
@@ -205,7 +202,6 @@ n_chains = 2
     def test_point_estimates(self, tmp_path, trained_base, command, capsys):
         cfg = write_cfg(tmp_path / f"{command}.cfg", f"""
 [run]
-task = toy2d
 output_dir = {tmp_path / command}
 seed = 4
 
@@ -232,7 +228,6 @@ class TestAmortize:
     def test_amortize_then_zero_shot(self, tmp_path, trained_base):
         cfg = write_cfg(tmp_path / "amort.cfg", f"""
 [run]
-task = inpaint
 output_dir = {tmp_path / "amort"}
 seed = 5
 
@@ -259,7 +254,6 @@ sigma = 0.1
         assert cond.exists()
         infer_cfg = write_cfg(tmp_path / "ainfer.cfg", f"""
 [run]
-task = inpaint
 output_dir = {tmp_path / "ainfer"}
 seed = 6
 
@@ -293,7 +287,6 @@ class TestSigmaSweep:
     def test_two_point_sweep(self, tmp_path, trained_base):
         cfg = write_cfg(tmp_path / "sweep.cfg", f"""
 [run]
-task = toy2d
 output_dir = {tmp_path / "sweep"}
 seed = 7
 
@@ -323,6 +316,7 @@ eval_samples = 100
 
 class TestSatDemo:
     def test_bundled_formula(self, tmp_path, capsys):
+        # nothing reads [run] task, but configs that set it still load
         cfg = write_cfg(tmp_path / "sat.cfg", f"""
 [run]
 task = sat
@@ -338,17 +332,31 @@ budget = 20000
         assert "corner_check_exact=true" in report
         out = capsys.readouterr().out
         assert "status=ok" in out
+        assert "task=" not in (tmp_path / "sat" / "manifest.txt").read_text()
+
+    def test_sigma_checked_for_every_command(self, tmp_path, capsys):
+        # task = sat must not exempt a config from the sigma check
+        cfg = write_cfg(tmp_path / "sat.cfg", f"""
+[run]
+task = sat
+output_dir = {tmp_path / "sat"}
+
+[train]
+sigma = 0
+""")
+        assert main(["sat-demo", "--config", cfg]) == 2
+        assert "config error: train.sigma" in capsys.readouterr().err
 
 
 class TestExitCodes:
     def test_config_error_is_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "bad.cfg", f"""
 [run]
-task = bogus
 output_dir = {tmp_path / "x"}
+seed = bogus
 """)
         assert main(["train-base", "--config", cfg]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert "config error: run.seed" in capsys.readouterr().err
 
     def test_missing_config_is_exit_2(self, tmp_path, capsys):
         assert main(["train-base", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -386,7 +394,6 @@ class TestImageTasks:
     def blob_base(self, tmp_path):
         cfg = write_cfg(tmp_path / "blobbase.cfg", f"""
 [run]
-task = cs
 output_dir = {tmp_path / "blobbase"}
 seed = 11
 
@@ -413,7 +420,6 @@ sigma = 0.05
         ckpt = self.blob_base(tmp_path)
         cfg = write_cfg(tmp_path / "cs.cfg", f"""
 [run]
-task = cs
 output_dir = {tmp_path / "cs"}
 seed = 12
 
@@ -451,7 +457,6 @@ n = 12
         ckpt = self.blob_base(tmp_path)
         cfg = write_cfg(tmp_path / "sr.cfg", f"""
 [run]
-task = sr2x
 output_dir = {tmp_path / "sr"}
 seed = 13
 
@@ -498,7 +503,6 @@ def image_problems(tmp_path_factory):
     root = tmp_path_factory.mktemp("problems")
     cfg = write_cfg(root / "base.cfg", f"""
 [run]
-task = cs
 output_dir = {root / "base"}
 seed = 21
 
@@ -538,7 +542,6 @@ batch_size = 16
 def problem_config(tmp_path, ckpt, data, measure, extra=""):
     return write_cfg(tmp_path / "problem.cfg", f"""
 [run]
-task = inpaint
 output_dir = {tmp_path / "out"}
 seed = 24
 
@@ -631,10 +634,13 @@ def code_config_keys():
     return pairs
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_config_keys():
     """(section, key) pairs of README's "Config keys" list: per bullet, the
     backticked names outside parentheses (those hold defaults)."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     block = text.split("### Config keys", 1)[1].split("\n## ", 1)[0]
     pairs = set()
     for bullet in re.split(r"\n\* ", block)[1:]:
@@ -644,10 +650,20 @@ def readme_config_keys():
     return pairs
 
 
+def readme_example_keys():
+    """(section, key) pairs that README's ```ini examples set."""
+    pairs = set()
+    for block in re.findall(r"```ini\n(.*?)```", README.read_text(), re.S):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(block)
+        pairs |= {(s, k) for s in parser.sections() for k in parser.options(s)}
+    return pairs
+
+
 class TestConfigKeysDocumented:
     def test_scanners_see_known_keys(self):
         for pairs in (code_config_keys(), readme_config_keys()):
-            assert {("run", "task"), ("train", "gradient_clip_norm"),
+            assert {("run", "output_dir"), ("train", "gradient_clip_norm"),
                     ("data", "height"), ("sat", "m_scale")} <= pairs
 
     def test_every_read_key_is_documented(self):
@@ -655,3 +671,8 @@ class TestConfigKeysDocumented:
 
     def test_every_documented_key_is_read(self):
         assert readme_config_keys() - code_config_keys() == set()
+
+    def test_readme_examples_use_read_keys(self):
+        example = readme_example_keys()
+        assert {("run", "output_dir"), ("train", "sigma")} <= example
+        assert example - code_config_keys() == set()

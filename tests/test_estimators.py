@@ -6,31 +6,31 @@ import math
 import numpy as np
 import pytest
 
-from flowcond.estimators import (EstimatorError, SampleSet, diversity,
-                                 mmse_estimate, mse, mse_decomposition,
-                                 pixel_marginal, psnr, silverman_bandwidth)
+from flowcond.estimators import (EstimatorError, diversity, mmse_estimate,
+                                 mse, mse_decomposition, pixel_marginal, psnr,
+                                 silverman_bandwidth)
 
 
 class TestMmse:
     def test_identical_samples(self):
-        s = SampleSet(np.tile([1.0, 2.0], (5, 1)))
+        s = np.tile([1.0, 2.0], (5, 1))
         np.testing.assert_array_equal(mmse_estimate(s), [1.0, 2.0])
 
     def test_two_point_mean(self):
-        s = SampleSet(np.array([[0.0, 0.0], [2.0, 2.0]]))
+        s = np.array([[0.0, 0.0], [2.0, 2.0]])
         np.testing.assert_array_equal(mmse_estimate(s), [1.0, 1.0])
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            s = SampleSet(rng.standard_normal((rng.integers(2, 50), 7)))
+            s = rng.standard_normal((rng.integers(2, 50), 7))
             ref = rng.standard_normal(7)
             per_sample, center, spread = mse_decomposition(s, ref)
             assert abs(per_sample - (center + spread)) < 1e-9
 
     def test_mean_dominates_any_single_sample_on_average(self):
         rng = np.random.default_rng(1)
-        s = SampleSet(rng.standard_normal((32, 10)) + 0.5)
+        s = rng.standard_normal((32, 10)) + 0.5
         ref = np.zeros(10)
         per_sample, center, _ = mse_decomposition(s, ref)
         assert center < per_sample
@@ -79,13 +79,13 @@ class TestDiversity:
 class TestPixelMarginal:
     def test_counts_conserve_n(self):
         rng = np.random.default_rng(3)
-        s = SampleSet(rng.standard_normal((500, 3)))
+        s = rng.standard_normal((500, 3))
         pm = pixel_marginal(s, coordinate=1, bins=24)
         assert pm.counts.sum() == 500
 
     def test_kde_integrates_to_one(self):
         rng = np.random.default_rng(4)
-        s = SampleSet(rng.standard_normal((400, 2)))
+        s = rng.standard_normal((400, 2))
         pm = pixel_marginal(s, coordinate=0)
         integral = np.trapezoid(pm.density, pm.grid)
         assert abs(integral - 1.0) < 1e-3
@@ -94,7 +94,7 @@ class TestPixelMarginal:
         rng = np.random.default_rng(5)
         signs = rng.integers(0, 2, size=800) * 2.0 - 1.0
         values = signs + 0.05 * rng.standard_normal(800)
-        s = SampleSet(values[:, None])
+        s = values[:, None]
         pm = pixel_marginal(s, coordinate=0)
         d = pm.density
         interior_max = (d[1:-1] > d[:-2]) & (d[1:-1] > d[2:])
@@ -102,7 +102,7 @@ class TestPixelMarginal:
         assert np.any(peaks < 0) and np.any(peaks > 0)
 
     def test_single_sample_degenerate_bump(self):
-        s = SampleSet(np.array([[0.3]]))
+        s = np.array([[0.3]])
         pm = pixel_marginal(s, coordinate=0)
         assert pm.counts.sum() == 1
         assert pm.bandwidth == pytest.approx(1e-4)
@@ -113,12 +113,12 @@ class TestPixelMarginal:
 
     def test_coordinate_out_of_range(self):
         with pytest.raises(EstimatorError):
-            pixel_marginal(SampleSet(np.zeros((3, 2))), coordinate=5)
+            pixel_marginal(np.zeros((3, 2)), coordinate=5)
 
     def test_export_format(self, tmp_path):
         from flowcond.estimators import export_pixel_marginal
         rng = np.random.default_rng(6)
-        pm = pixel_marginal(SampleSet(rng.standard_normal((100, 1))), 0, bins=10)
+        pm = pixel_marginal(rng.standard_normal((100, 1)), 0, bins=10)
         path = tmp_path / "marginal.txt"
         export_pixel_marginal(pm, path)
         text = path.read_text()
@@ -132,9 +132,4 @@ class TestPixelMarginal:
 class TestSampleSet:
     def test_needs_2d(self):
         with pytest.raises(EstimatorError):
-            SampleSet(np.zeros(3))
-
-    def test_provenance_kept(self):
-        s = SampleSet(np.zeros((2, 2)), provenance="lmc", seed=7)
-        assert s.provenance == "lmc"
-        assert s.seed == 7
+            mmse_estimate(np.zeros(3))

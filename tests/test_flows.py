@@ -81,6 +81,24 @@ class TestBijectivity:
         np.testing.assert_allclose(x[1], y[1] - shift, atol=1e-12)
 
 
+class TestSaturatedAffineScale:
+    @pytest.mark.parametrize("raw", [1e3, -1e3])
+    def test_inverse_at_scale_bounds(self, raw):
+        # tanh(+-1e3) = +-1, so every scale of the layer sits at 4 or 1/4
+        flow = perturbed_flow(4, "affine", seed=21)
+        layer = flow.layers[0]
+        k = len(layer.idx_out)
+        layer.conditioner.weights[-1][:, k:] = 0.0
+        layer.conditioner.biases[-1][0, k:] = raw
+        y = np.random.default_rng(22).standard_normal((50, 4))
+        x, ld = layer.inverse_array(y)
+        assert np.all(np.isfinite(x))
+        np.testing.assert_allclose(ld, -np.sign(raw) * k * math.log(4.0),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(layer.forward_array(x)[0], y,
+                                   rtol=0, atol=1e-12)
+
+
 class TestLogDet:
     def test_additive_stack_logdet_exactly_zero(self):
         flow = perturbed_flow(6, "additive", seed=7, num_layers=4)

@@ -35,10 +35,6 @@ class TestSmoothingSpec:
         with pytest.raises(ObjectiveError):
             SmoothingSpec(-1.0)
 
-    def test_distance_hook_rejects_unknown(self):
-        with pytest.raises(ObjectiveError, match="l2"):
-            SmoothingSpec(0.1, distance="lpips")
-
 
 class TestLossBreakdown:
     def test_additivity_exact(self):

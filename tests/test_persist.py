@@ -218,7 +218,6 @@ class TestSyntheticDatasets:
 
 CONFIG = """
 [run]
-task = toy2d
 output_dir = {out}
 seed = 3
 
@@ -242,7 +241,6 @@ class TestRunConfig:
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(CONFIG.format(out=tmp_path / "out"))
         cfg = load_run_config(cfg_path)
-        assert cfg.task == "toy2d"
         assert cfg.seed == 3
         assert cfg.getint("train", "num_steps") == 2
         assert cfg.getfloat("train", "sigma") == 0.1
@@ -258,8 +256,8 @@ class TestRunConfig:
     def test_field_level_errors(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(CONFIG.format(out=tmp_path / "out")
-                            .replace("task = toy2d", "task = nope"))
-        with pytest.raises(ConfigError, match="run.task"):
+                            .replace("seed = 3", "seed = nope"))
+        with pytest.raises(ConfigError, match="run.seed"):
             load_run_config(cfg_path)
 
     def test_missing_path_rejected(self, tmp_path):

@@ -55,8 +55,15 @@ class TestAdam:
         assert p[2] == 0.0
 
     def test_defaults(self):
-        state = AdamState([np.zeros(1)], learning_rate=1e-3)
-        assert (state.beta1, state.beta2, state.eps) == (0.9, 0.999, 1e-8)
+        # beta1 = 0.9, beta2 = 0.999, eps = 1e-8, read off the first step
+        p, g = np.zeros(1), np.array([2.0])
+        state = AdamState([p], learning_rate=1e-3)
+        state.update([p], [g])
+        m, v = (1.0 - 0.9) * g, (1.0 - 0.999) * (g * g)
+        np.testing.assert_array_equal(state.m[0], m)
+        np.testing.assert_array_equal(state.v[0], v)
+        np.testing.assert_array_equal(
+            p, -1e-3 * (m / (1.0 - 0.9)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-8))
 
 
 class TestClip:
@@ -201,8 +208,8 @@ class TestAmortization:
         np.testing.assert_array_equal(ctx, [0, 5, 0, 7, 0, 1, 0, 1])
 
     def test_context_requires_mask(self):
-        from flowcond.measurement import make_gaussian_op
-        obs = Observation(y_star=np.zeros(2), op=make_gaussian_op(0, 2, 3))
+        from flowcond.measurement import GaussianOp
+        obs = Observation(y_star=np.zeros(2), op=GaussianOp(0, 2, 3))
         with pytest.raises(TrainingError):
             observation_context(obs)
 
