@@ -188,28 +188,36 @@ def cmd_infer(cfg: RunConfig, out: Path) -> str:
             f"{n} samples -> {out / 'samples.flwa'}")
 
 
+def _lmc_config(cfg: RunConfig) -> baselines.LmcConfig:
+    burn_in = cfg.getint("lmc", "burn_in") if cfg.has("lmc", "burn_in") else None
+    try:
+        return baselines.LmcConfig(
+            step_size=cfg.getfloat("lmc", "step_size", 5e-4),
+            chain_length=cfg.getint("lmc", "chain_length", 4000),
+            burn_in=burn_in, thinning=cfg.getint("lmc", "thinning", 1),
+            seed=cfg.seed)
+    except baselines.BaselineError as e:
+        raise ConfigError(f"lmc.{e.field}", str(e))
+
+
 def cmd_lmc(cfg: RunConfig, out: Path) -> str:
+    n_chains = cfg.getint("lmc", "n_chains", 1)
+    if n_chains < 1:
+        raise ConfigError("lmc.n_chains", "must be >= 1")
+    config = _lmc_config(cfg)
     base = _load_base(cfg)
     _, obs = _problem(cfg, base.dim)
     smoothing = SmoothingSpec(cfg.getfloat("train", "sigma", 0.1))
-    n_chains = cfg.getint("lmc", "n_chains", 1)
-    burn = cfg.get("lmc", "burn_in", "")
-    xs = []
-    for c in range(n_chains):
-        config = baselines.LmcConfig(
-            step_size=cfg.getfloat("lmc", "step_size", 5e-4),
-            chain_length=cfg.getint("lmc", "chain_length", 4000),
-            burn_in=int(burn) if burn else None,
-            thinning=cfg.getint("lmc", "thinning", 1),
-            seed=cfg.seed + c)
-        chain = baselines.lmc_sample(base, obs, smoothing, config)
+    chains = baselines.lmc_sample(base, obs, smoothing, config, n_chains)
+    for c, chain in enumerate(chains):
         baselines.save_chain(chain, out / f"chain_{c}.csv")
-        xs.append(base.forward(chain.states)[0])
-    samples = np.concatenate(xs, axis=0)
+    samples = base.forward(np.concatenate([ch.states for ch in chains]))[0]
     persist.save_array(out / "samples.flwa", samples)
     _save_observation(out, obs)
+    acceptance = [ch.acceptance for ch in chains]
     return (f"lmc: {n_chains} chain(s), {samples.shape[0]} retained states, "
-            f"mean residual={_mean_residual(samples, obs):.4f} "
+            f"mean residual={_mean_residual(samples, obs):.4f}, acceptance "
+            f"min={np.min(acceptance):.4f} mean={np.mean(acceptance):.4f} "
             f"-> {out / 'samples.flwa'}")
 
 

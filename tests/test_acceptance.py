@@ -267,13 +267,11 @@ def svi_samples(mixture_base, mixture_observation):
 
 @pytest.fixture(scope="module")
 def lmc_samples(mixture_base, mixture_observation):
-    smoothing = SmoothingSpec(SIGMA)
-    pooled = []
-    for c in range(4):     # 4 x 3200 retained states >= 10^4 samples
-        cfg = LmcConfig(step_size=5e-4, chain_length=4000, seed=100 + c)
-        chain = lmc_sample(mixture_base, mixture_observation, smoothing, cfg)
-        pooled.append(mixture_base.forward(chain.states)[0])
-    return np.concatenate(pooled, axis=0)
+    # chains at seeds 100-103; 4 x 3200 retained states >= 10^4 samples
+    cfg = LmcConfig(step_size=5e-4, chain_length=4000, seed=100)
+    chains = lmc_sample(mixture_base, mixture_observation, SmoothingSpec(SIGMA),
+                        cfg, n_chains=4)
+    return mixture_base.forward(np.concatenate([c.states for c in chains]))[0]
 
 
 class TestCriterion4:

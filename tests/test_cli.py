@@ -165,15 +165,14 @@ marginals = 0,1
         assert float(rows["mse_mmse"]) <= float(rows["mean_mse_single"])
 
 
-class TestBaselineCommands:
-    def test_lmc(self, tmp_path, trained_base):
-        cfg = write_cfg(tmp_path / "lmc.cfg", f"""
+def lmc_config(tmp_path, ckpt):
+    return write_cfg(tmp_path / "lmc.cfg", f"""
 [run]
 output_dir = {tmp_path / "lmc"}
 seed = 3
 
 [model]
-base_checkpoint = {trained_base}
+base_checkpoint = {ckpt}
 
 [measure]
 kind = mask
@@ -191,12 +190,38 @@ chain_length = 40
 thinning = 2
 n_chains = 2
 """)
+
+
+class TestBaselineCommands:
+    def test_lmc(self, tmp_path, trained_base, capsys):
+        cfg = lmc_config(tmp_path, trained_base)
         assert main(["lmc", "--config", cfg]) == 0
         out = tmp_path / "lmc"
         assert (out / "chain_0.csv").exists()
         assert (out / "chain_1.csv").exists()
         samples = load_array(out / "samples.flwa")
         assert samples.shape == (2 * 16, 2)   # ceil((40-8)/2) per chain
+        # each chain's header carries its seed and acceptance rate, and the
+        # summary their minimum and mean
+        rates = []
+        for c in range(2):
+            header = (out / f"chain_{c}.csv").read_text().splitlines()[0]
+            assert f" seed={3 + c} " in header
+            rates.append(float(header.split("acceptance=")[1]))
+        assert all(0.0 <= r <= 1.0 for r in rates)
+        summary = capsys.readouterr().out
+        assert f"acceptance min={min(rates):.4f} mean={np.mean(rates):.4f}" in summary
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_chains", "0"), ("n_chains", "-1"), ("burn_in", "1.5"),
+        ("step_size", "-1e-3"), ("step_size", "nan"), ("burn_in", "40"),
+        ("thinning", "0"), ("chain_length", "0"), ("chain_length", "-5")])
+    def test_bad_lmc_setting_is_exit_2(self, tmp_path, trained_base, key,
+                                       value, capsys):
+        cfg = lmc_config(tmp_path, trained_base)
+        assert main(["lmc", "--config", cfg, "--set", f"lmc.{key}={value}"]) == 2
+        assert f"config error: lmc.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "lmc" / "chain_0.csv").exists()
 
     @pytest.mark.parametrize("command", ["ivom", "csgm"])
     def test_point_estimates(self, tmp_path, trained_base, command, capsys):

@@ -184,7 +184,7 @@ def run_drivers(monkeypatch, base_kind):
         q, _ = train_ambient_vi(base, obs, cfg)
         out[f"ambient-{name}"] = (list(rows), q.parameters())
         chain = lmc_sample(base, obs, SmoothingSpec(0.2),
-                           LmcConfig(step_size=1e-3, chain_length=12, seed=10))
+                           LmcConfig(step_size=1e-3, chain_length=12, seed=10))[0]
         out[f"lmc-{name}"] = (chain.states, chain.log_targets)
         est = ivom_estimate(base, obs, lr=1e-2, steps=5, seed=11)
         out[f"ivom-{name}"] = (est.x_hat, est.objective)
