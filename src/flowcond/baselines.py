@@ -70,10 +70,7 @@ class Chain:
 
 def _target_nodes(base, obs, beta, z_node):
     x, _ = base.forward_node(None, z_node)
-    y = obs.op.apply_node(x)
-    target = z_node.graph.constant(obs.y_star[None, :].repeat(z_node.value.shape[0], axis=0))
-    pen = (y - target).square().sum(axis=1)
-    return gaussian_logpdf_node(z_node) - beta * pen
+    return gaussian_logpdf_node(z_node) - beta * obs.residual_node(x)
 
 
 def _log_acceptance(z, log_p, grad, z_new, log_p_new, grad_new, eta):
@@ -168,9 +165,7 @@ class PointEstimate:
 
 def latent_objective(base, obs, z, lam: float = 0.0) -> float:
     """||A(f(z)) - y*||^2 + lam ||z||^2 for a (1, d) latent point."""
-    x = base.forward(z)[0]
-    r = obs.op.apply(x) - obs.y_star[None, :]
-    val = float(np.sum(r * r))
+    val = float(obs.residual(base.forward(z)[0])[0])
     if lam != 0.0:
         val += lam * float(np.sum(z * z))
     return val
@@ -180,12 +175,11 @@ def _optimize_latent(base, obs, z0, lr, steps, lam):
     """Adam on z for ||A(f(z)) - y*||^2 + lam ||z||^2, without a gradient
     clip; returns (z, objective)."""
     z = z0.copy()
-    target = obs.y_star[None, :]
 
     def step_loss(bind, step):
         zn = bind(z)
         x, _ = base.forward_node(None, zn)
-        loss = (obs.op.apply_node(x) - bind.graph.constant(target)).square().sum()
+        loss = obs.residual_node(x).sum()
         if lam != 0.0:
             loss = loss + lam * zn.square().sum()
         return loss, (0.0, 0.0, float(loss.value))

@@ -33,18 +33,32 @@ SIGMA_SWEEP_DEFAULT = "1,0.1,0.01,1e-3,1e-4"
 # config -> objects
 # ---------------------------------------------------------------------------
 
-def _dataset(cfg: RunConfig) -> persist.Dataset:
+def _generated_dataset(cfg: RunConfig, n: int,
+                       seed: int) -> persist.Dataset | None:
+    """``n`` rows of a synthetic or blob ``[data]`` kind, drawn at ``seed``;
+    None for any other kind."""
     kind = cfg.get("data", "kind", "gaussian-mixture")
-    n = cfg.getint("data", "n", 4000)
-    seed = cfg.getint("data", "seed", cfg.seed)
-    if kind in ("two-moons", "gaussian-mixture", "checkerboard"):
-        return persist.synth_dataset(kind, n, seed)
+    if kind not in ("two-moons", "gaussian-mixture", "checkerboard", "blobs"):
+        return None
+    if n < 1:
+        raise ConfigError("data.n", "must be >= 1")
     if kind == "blobs":
         return persist.make_blob_images(n, cfg.getint("data", "height", 8),
                                         cfg.getint("data", "width", 8), seed)
-    if kind == "image-grid":
-        return persist.load_image_dataset(cfg.get("data", "path"))
-    raise ConfigError("data.kind", f"unknown dataset kind {kind!r}")
+    return persist.synth_dataset(kind, n, seed)
+
+
+def _dataset(cfg: RunConfig) -> persist.Dataset:
+    """The ``[data]`` training set: ``n`` generated rows, or an image-grid
+    file."""
+    ds = _generated_dataset(cfg, cfg.getint("data", "n", 4000),
+                            cfg.getint("data", "seed", cfg.seed))
+    if ds is not None:
+        return ds
+    kind = cfg.get("data", "kind", "gaussian-mixture")
+    if kind != "image-grid":
+        raise ConfigError("data.kind", f"unknown dataset kind {kind!r}")
+    return persist.load_image_dataset(cfg.get("data", "path"))
 
 
 def _arch(cfg: RunConfig) -> dict:
@@ -72,57 +86,47 @@ def _train_config(cfg: RunConfig, **overrides) -> TrainConfig:
 
 
 def _operator(cfg: RunConfig, dim: int):
-    """The ``[measure]`` operator on signals of length ``dim``, and the
-    ``[data]`` dataset when one had to be built to find the image shape
-    (image-grid keeps its shape in the file; blobs take it from
-    ``height``/``width``)."""
-    ds, image_shape = None, None
-    data_kind = cfg.get("data", "kind", "")
-    if data_kind == "image-grid":
-        ds = _dataset(cfg)
-        image_shape = ds.image_shape
-    elif data_kind == "blobs":
-        image_shape = (cfg.getint("data", "height", 8),
-                       cfg.getint("data", "width", 8), 1)
+    """The ``[measure]`` operator on signals of length ``dim``."""
     kind = cfg.get("measure", "kind")
     if kind == "mask":
         if cfg.has("measure", "mask_path"):
             idx = load_mask_file(cfg.get("measure", "mask_path"))
         else:
             idx = np.asarray(cfg.getints("measure", "indices"), dtype=np.intp)
-        return MaskOp(idx, dim), ds
+        return MaskOp(idx, dim)
     if kind == "gaussian":
         return GaussianOp(cfg.getint("measure", "gauss_seed", 1),
-                          cfg.getint("measure", "m"), dim), ds
+                          cfg.getint("measure", "m"), dim)
     if kind in ("downsample2x", "grayscale"):
+        # the shape of the [data] rows: one generated row, or the file's
+        ds = _generated_dataset(cfg, 1, cfg.seed)
+        image_shape = (_dataset(cfg) if ds is None else ds).image_shape
         if image_shape is None:
             raise ConfigError("measure.kind", f"{kind} needs image data")
         op_class = Downsample2xOp if kind == "downsample2x" else GrayscaleOp
-        return op_class(*image_shape), ds
+        return op_class(*image_shape)
     raise ConfigError("measure.kind", f"unknown measurement kind {kind!r}")
 
 
-def _ground_truth(cfg: RunConfig, dataset: persist.Dataset | None) -> np.ndarray:
+def _ground_truth(cfg: RunConfig) -> np.ndarray:
+    """Row ``[observe] index`` of index + 1 rows generated at the observe
+    seed, or of the image-grid file."""
     index = cfg.getint("observe", "index", 0)
-    kind = cfg.get("data", "kind", "gaussian-mixture")
-    obs_seed = cfg.getint("observe", "seed", cfg.seed + 1000)
-    if kind in ("two-moons", "gaussian-mixture", "checkerboard"):
-        return persist.synth_dataset(kind, index + 1, obs_seed).samples[index]
-    if kind == "blobs":
-        ds = persist.make_blob_images(index + 1, cfg.getint("data", "height", 8),
-                                      cfg.getint("data", "width", 8), obs_seed)
-        return ds.samples[index]
-    if dataset is None:
-        raise ConfigError("observe.index", "no dataset to draw ground truth from")
-    if not 0 <= index < len(dataset.samples):
+    if index < 0:
+        raise ConfigError("observe.index", "must be >= 0")
+    ds = _generated_dataset(cfg, index + 1,
+                            cfg.getint("observe", "seed", cfg.seed + 1000))
+    if ds is None:
+        ds = _dataset(cfg)
+    if index >= len(ds.samples):
         raise ConfigError("observe.index", "out of dataset range")
-    return dataset.samples[index]
+    return ds.samples[index]
 
 
 def _problem(cfg: RunConfig, dim: int):
     """The operator and the observation: every inference command builds
     its problem here, so one config means one problem in all of them."""
-    op, ds = _operator(cfg, dim)
+    op = _operator(cfg, dim)
     source = cfg.get("observe", "source", "synthetic")
     if source == "file":
         y = persist.load_array(cfg.get("observe", "y_path"))[0]
@@ -132,7 +136,7 @@ def _problem(cfg: RunConfig, dim: int):
         return op, Observation(y_star=y, op=op, ground_truth=gt)
     if source != "synthetic":
         raise ConfigError("observe.source", f"unknown source {source!r}")
-    gt = _ground_truth(cfg, ds)
+    gt = _ground_truth(cfg)
     noise = cfg.getfloat("observe", "noise_sigma", 0.0)
     return op, make_observation(op, gt, noise, stream_rng(cfg.seed, "obs-noise"))
 
@@ -150,11 +154,6 @@ def _save_observation(out: Path, obs: Observation) -> None:
     persist.save_array(out / "y_star.flwa", obs.y_star[None, :])
     if obs.ground_truth is not None:
         persist.save_array(out / "ground_truth.flwa", obs.ground_truth[None, :])
-
-
-def _mean_residual(samples: np.ndarray, obs: Observation) -> float:
-    r = obs.op.apply(samples) - obs.y_star[None, :]
-    return float(np.mean(np.sum(r * r, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,7 @@ def cmd_lmc(cfg: RunConfig, out: Path) -> str:
     _save_observation(out, obs)
     acceptance = [ch.acceptance for ch in chains]
     return (f"lmc: {n_chains} chain(s), {samples.shape[0]} retained states, "
-            f"mean residual={_mean_residual(samples, obs):.4f}, acceptance "
+            f"mean residual={float(np.mean(obs.residual(samples))):.4f}, acceptance "
             f"min={np.min(acceptance):.4f} mean={np.mean(acceptance):.4f} "
             f"-> {out / 'samples.flwa'}")
 
@@ -252,10 +251,9 @@ def cmd_csgm(cfg, out):
 
 def cmd_amortize(cfg: RunConfig, out: Path) -> str:
     base = _load_base(cfg)
-    op, ds = _operator(cfg, base.dim)
+    op = _operator(cfg, base.dim)
     _require_mask(op, "amortize")
-    if ds is None:
-        ds = _dataset(cfg)
+    ds = _dataset(cfg)
     noise = cfg.getfloat("observe", "noise_sigma", 0.0)
 
     def obs_sampler(rng: np.random.Generator) -> Observation:
@@ -282,7 +280,7 @@ def cmd_amortized_infer(cfg: RunConfig, out: Path) -> str:
     persist.save_array(out / "samples.flwa", samples)
     _save_observation(out, obs)
     return (f"amortized-infer: {n} zero-shot samples, mean residual="
-            f"{_mean_residual(samples, obs):.4f} -> {out / 'samples.flwa'}")
+            f"{float(np.mean(obs.residual(samples))):.4f} -> {out / 'samples.flwa'}")
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> str:
@@ -299,10 +297,10 @@ def cmd_eval(cfg: RunConfig, out: Path) -> str:
     if n >= 2:
         rows.append(("diversity", estimators.diversity(samples)))
     if cfg.has("eval", "y_path"):
-        op, _ = _operator(cfg, dim)
+        op = _operator(cfg, dim)
         y = persist.load_array(cfg.get("eval", "y_path"))[0]
         obs = Observation(y_star=y, op=op)
-        rows.append(("mean_residual", _mean_residual(samples, obs)))
+        rows.append(("mean_residual", float(np.mean(obs.residual(samples)))))
     lines = ["metric,value"] + [f"{k},{v!r}" for k, v in rows]
     (out / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     if cfg.has("eval", "marginals"):
@@ -323,7 +321,7 @@ def cmd_sigma_sweep(cfg: RunConfig, out: Path) -> str:
         pre, _ = train_svi(base, obs, _train_config(cfg, sigma=sigma))
         samples = ComposedSampler(pre, base).sample(
             n_eval, stream_rng(cfg.seed, "sweep-eval"))
-        residuals.append(_mean_residual(samples, obs))
+        residuals.append(float(np.mean(obs.residual(samples))))
     lines = ["sigma,mean_residual"]
     for s, r in zip(sigmas, residuals):
         lines.append(f"{s!r},{r!r}")

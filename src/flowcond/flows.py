@@ -166,13 +166,6 @@ class Mlp:
 
         return de.Node(x.graph, out, inputs + leaves, vjp)
 
-    def copy(self) -> "Mlp":
-        out = object.__new__(Mlp)
-        out.widths = list(self.widths)
-        out.weights = [w.copy() for w in self.weights]
-        out.biases = [b.copy() for b in self.biases]
-        return out
-
 
 class Permutation:
     """Fixed index permutation; unit Jacobian."""
@@ -198,9 +191,6 @@ class Permutation:
 
     def inverse_node(self, bind, y, context=None):
         return de.take(y, self.inv, axis=1), None
-
-    def copy(self):
-        return Permutation(self.perm.copy())
 
 
 def reversal(dim: int) -> Permutation:
@@ -249,9 +239,6 @@ class DiagonalAffine:
         t = y.graph.constant(np.tile(self.shift, (n, 1)))
         ld = y.graph.constant(np.full(n, -self.logdet))
         return (y - t) * s, ld
-
-    def copy(self):
-        return DiagonalAffine(self.scale, self.shift)
 
 
 class CouplingLayer:
@@ -393,15 +380,6 @@ class CouplingLayer:
                        (x, xc, h), vjp)
         return _column_node(node, y, slice(0, d)), _column_node(node, ld, d)
 
-    def copy(self):
-        out = object.__new__(CouplingLayer)
-        out.kind = self.kind
-        out.idx_cond = self.idx_cond.copy()
-        out.idx_out = self.idx_out.copy()
-        out.conditioner = self.conditioner.copy()
-        out.context_width = self.context_width
-        return out
-
 
 def _column_node(node, value, columns):
     """A tape node reading ``node.value[:, columns]``; ``value`` is that
@@ -511,9 +489,6 @@ class FlowModel:
             raise FlowError("sample: n must be >= 1")
         z = rng.standard_normal((n, self.dim))
         return self.forward(z, context)[0]
-
-    def copy(self) -> "FlowModel":
-        return FlowModel(self.dim, [l.copy() for l in self.layers], self.context_width)
 
 
 class ComposedSampler:

@@ -173,6 +173,16 @@ class Observation:
             if self.ground_truth.shape != (self.op.input_dim,):
                 raise MeasurementError("ground truth length mismatch")
 
+    def residual(self, x) -> np.ndarray:
+        """Per-row ||A x - y*||^2 of a (d,) or (n, d) array, shape (n,)."""
+        r = self.op.apply(np.atleast_2d(x)) - self.y_star
+        return np.sum(r * r, axis=1)
+
+    def residual_node(self, x: de.Node) -> de.Node:
+        """:meth:`residual` on the tape, for an (n, d) node."""
+        target = x.graph.constant(np.tile(self.y_star, (x.value.shape[0], 1)))
+        return (self.op.apply_node(x) - target).square().sum(axis=1)
+
 
 def make_observation(op: MeasurementOp, x_true, noise_sigma: float = 0.0,
                      rng: np.random.Generator | None = None) -> Observation:

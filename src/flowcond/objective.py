@@ -60,13 +60,14 @@ def _eps_batch(eps, dim):
     return arr
 
 
-def latent_kl_terms_node(bind: ParamBinder, cs: ComposedSampler, eps_node: de.Node,
-                         context: de.Node | None = None):
-    """Per-sample KL integrand log q_z(z) - log p_z(z) and the z node.
+def latent_kl_terms_node(bind: ParamBinder, cs: ComposedSampler, eps_node: de.Node):
+    """Per-sample KL integrand log q_z(z) - log p_z(z) and the z node.  A
+    conditional pre-generator reads its context from ``cs.context``.
 
     With an identity-start pre-generator every term is exactly zero: z is a
     bitwise copy of eps and the log-determinant is the constant 0.
     """
+    context = cs.pre.context_node(bind.graph, cs.context, eps_node.value.shape[0])
     z, ld_pre = cs.pre.forward_node(bind, eps_node, context)
     terms = gaussian_logpdf_node(eps_node) - ld_pre - gaussian_logpdf_node(z)
     return terms, z
@@ -76,45 +77,30 @@ def latent_kl_estimate(cs: ComposedSampler, eps_batch) -> float:
     """Monte Carlo estimate of KL(q_z || p_z) on a fixed eps batch."""
     eps = _eps_batch(eps_batch, cs.dim)
     g = de.Graph()
-    bind = ParamBinder(g)
-    ctx = cs.pre.context_node(g, cs.context, eps.shape[0])
-    terms, _ = latent_kl_terms_node(bind, cs, g.constant(eps), ctx)
+    terms, _ = latent_kl_terms_node(ParamBinder(g), cs, g.constant(eps))
     est = float(terms.mean().value)
     if not np.isfinite(est):
         raise ObjectiveError("non-finite KL estimate")
     return est
 
 
-def _penalty_node(x: de.Node, obs: Observation, smoothing: SmoothingSpec) -> de.Node:
-    n = x.value.shape[0]
-    y = obs.op.apply_node(x)
-    target = x.graph.constant(np.tile(obs.y_star, (n, 1)))
-    residual = (y - target).square().sum(axis=1)
-    return smoothing.beta * residual.mean()
-
-
 def svi_loss_nodes(bind: ParamBinder, cs: ComposedSampler, obs: Observation,
-                   smoothing: SmoothingSpec, eps: np.ndarray,
-                   context: de.Node | None = None):
+                   smoothing: SmoothingSpec, eps: np.ndarray):
     """Tape nodes (kl, penalty, total) for one reparametrized batch."""
     if obs.op.input_dim != cs.dim:
         raise ObjectiveError(
             f"operator input dim {obs.op.input_dim} != flow dim {cs.dim}")
-    g = bind.graph
-    terms, z = latent_kl_terms_node(bind, cs, g.constant(eps), context)
+    terms, z = latent_kl_terms_node(bind, cs, bind.graph.constant(eps))
     kl = terms.mean()
     x, _ = cs.base.forward_node(None, z)
-    pen = _penalty_node(x, obs, smoothing)
+    pen = smoothing.beta * obs.residual_node(x).mean()
     return kl, pen, kl + pen
 
 
 def svi_loss(cs: ComposedSampler, obs: Observation, smoothing: SmoothingSpec,
              eps_batch) -> LossBreakdown:
     eps = _eps_batch(eps_batch, cs.dim)
-    g = de.Graph()
-    bind = ParamBinder(g)
-    ctx = cs.pre.context_node(g, cs.context, eps.shape[0])
-    kl, pen, _ = svi_loss_nodes(bind, cs, obs, smoothing, eps, ctx)
+    kl, pen, _ = svi_loss_nodes(ParamBinder(de.Graph()), cs, obs, smoothing, eps)
     out = LossBreakdown.of(float(kl.value), float(pen.value))
     if not math.isfinite(out.total):
         raise ObjectiveError("non-finite loss")
@@ -133,7 +119,7 @@ def ambient_vi_loss_nodes(bind: ParamBinder, q: FlowModel, base: FlowModel,
     z, ld_inv = base.inverse_node(None, x)
     log_p = gaussian_logpdf_node(z) + ld_inv
     kl = (log_q - log_p).mean()
-    pen = _penalty_node(x, obs, smoothing)
+    pen = smoothing.beta * obs.residual_node(x).mean()
     return kl, pen, kl + pen
 
 
@@ -205,8 +191,8 @@ def joint_vs_marginal_gap(cs: ComposedSampler, obs: Observation,
     if abs(mass - 1.0) > 0.01:
         raise GridError(f"base density mass {mass:.4f} on grid; refine or widen")
 
-    residual = (axis - float(obs.y_star[0])) ** 2
-    post = p * np.exp(-smoothing.beta * residual)[:, None]
+    residual = obs.residual(points).reshape(grid.n, grid.n)
+    post = p * np.exp(-smoothing.beta * residual)
     post_mass = post.sum() * area
     if post_mass <= 0.0:
         raise GridError("smoothed posterior has no mass on grid")

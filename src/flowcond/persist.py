@@ -2,18 +2,21 @@
 toy datasets, run configuration files, manifests, and the output-directory
 lock.
 
-Checkpoint format (little-endian):
+Every binary file has one frame (little-endian):
 
-    magic "FLWC" | u32 version=1 | u8 kind | u32 dim | u32 context_width
-    u32 n_layers | per-layer descriptor | u64 count | count * f64 | u32 crc32
+    magic | u32 version=1 | head | f64 blob | u32 crc32 of the blob
+
+and ends at its checksum.  Checkpoints have magic "FLWC" and the head
+
+    u8 kind | u32 dim | u32 context_width | u32 n_layers
+    per-layer descriptor | u64 count
 
 Layer descriptors: 0 = permutation (u32 n, n*u32), 1/2 = additive/affine
 coupling (u32 n_cond + idx, u32 n_out + idx, u32 context_width, u32 n_widths
 + widths), 3 = diagonal affine (u32 d; scale then shift live in the blob).
-The float blob holds every layer's arrays in order; the checksum covers the
-blob bytes.  Sample sets reuse the same convention with magic "FLWA"
-(u32 rows, u32 cols), image datasets with magic "FLWI" (height, width,
-channels, count).
+The blob holds every layer's arrays in order.  Sample sets have magic
+"FLWA" and the head u32 rows, u32 cols; image datasets have magic "FLWI"
+and the head u32 height, width, channels, count.
 """
 
 from __future__ import annotations
@@ -92,11 +95,39 @@ class _Reader:
     def ints(self, n: int) -> np.ndarray:
         return np.frombuffer(self.read(4 * n), dtype="<u4").astype(np.intp)
 
-    def floats(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.read(8 * n), dtype="<f8").astype(np.float64)
+    def payload(self, count: int) -> np.ndarray:
+        """The blob of ``count`` f64 values, checked against the crc32 that
+        must end the file."""
+        blob = self.read(8 * count)
+        (crc,) = self.unpack("I")
+        if self._buf.read(1):
+            raise PersistError(f"{self._what}: trailing bytes after checksum")
+        if zlib.crc32(blob) & 0xFFFFFFFF != crc:
+            raise ChecksumMismatch(f"{self._what}: checksum mismatch")
+        return np.frombuffer(blob, dtype="<f8")
 
-    def at_end(self) -> bool:
-        return self._buf.read(1) == b""
+
+def _write_file(path, magic: bytes, head: bytes, arrays) -> None:
+    """Write magic | u32 version | head | f64 blob of ``arrays`` | crc32."""
+    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack("<I", FORMAT_VERSION) + head)
+        f.write(blob)
+        f.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+
+
+def _open_file(path, magic: bytes, what: str) -> _Reader:
+    """A reader positioned after the magic and the version, both checked."""
+    with open(path, "rb") as f:
+        r = _Reader(f.read(), str(path))
+    found = r.read(4)
+    if found != magic:
+        raise PersistError(f"{path}: not {what} (magic {found!r})")
+    (version,) = r.unpack("I")
+    if version != FORMAT_VERSION:
+        raise VersionMismatch(f"{path}: format version {version}, expected "
+                              f"{FORMAT_VERSION}")
+    return r
 
 
 def _pack_ints(values) -> bytes:
@@ -150,32 +181,19 @@ def _read_layer(r: _Reader):
 def save_checkpoint(model: FlowModel, path, kind: str) -> None:
     if kind not in _KIND_CODES:
         raise PersistError(f"unknown checkpoint kind {kind!r}")
-    head = CHECKPOINT_MAGIC + struct.pack("<IBII", FORMAT_VERSION,
-                                          _KIND_CODES[kind], model.dim,
-                                          model.context_width)
-    body = struct.pack("<I", len(model.layers))
+    head = struct.pack("<BIII", _KIND_CODES[kind], model.dim,
+                       model.context_width, len(model.layers))
     arrays = []
     for layer in model.layers:
-        body += _layer_descriptor(layer)
+        head += _layer_descriptor(layer)
         arrays.extend(layer.state_arrays())
-    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
-    count = sum(a.size for a in arrays)
-    tail = struct.pack("<Q", count) + blob + struct.pack("<I",
-                                                         zlib.crc32(blob) & 0xFFFFFFFF)
-    with open(path, "wb") as f:
-        f.write(head + body + tail)
+    head += struct.pack("<Q", sum(a.size for a in arrays))
+    _write_file(path, CHECKPOINT_MAGIC, head, arrays)
 
 
 def load_checkpoint(path, expected_kind: str | None = None) -> FlowModel:
-    with open(path, "rb") as f:
-        r = _Reader(f.read(), str(path))
-    magic = r.read(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise PersistError(f"{path}: not a checkpoint (magic {magic!r})")
-    version, kind_code, dim, context_width = r.unpack("IBII")
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(f"{path}: format version {version}, expected "
-                              f"{FORMAT_VERSION}")
+    r = _open_file(path, CHECKPOINT_MAGIC, "a checkpoint")
+    kind_code, dim, context_width = r.unpack("BII")
     kind = _KIND_NAMES.get(kind_code)
     if kind is None:
         raise PersistError(f"{path}: unknown model kind code {kind_code}")
@@ -193,13 +211,7 @@ def load_checkpoint(path, expected_kind: str | None = None) -> FlowModel:
     if count != expected:
         raise PersistError(f"{path}: descriptor implies {expected} parameters, "
                            f"blob declares {count}")
-    blob = r.read(8 * count)
-    (crc,) = r.unpack("I")
-    if not r.at_end():
-        raise PersistError(f"{path}: trailing bytes after checksum")
-    if zlib.crc32(blob) & 0xFFFFFFFF != crc:
-        raise ChecksumMismatch(f"{path}: parameter blob checksum mismatch")
-    values = np.frombuffer(blob, dtype="<f8")
+    values = r.payload(count)
     off = 0
     for a in targets:
         a[...] = values[off:off + a.size].reshape(a.shape)
@@ -212,17 +224,6 @@ def load_checkpoint(path, expected_kind: str | None = None) -> FlowModel:
     return model
 
 
-def checkpoint_kind(path) -> str:
-    with open(path, "rb") as f:
-        r = _Reader(f.read(17), str(path))
-    if r.read(4) != CHECKPOINT_MAGIC:
-        raise PersistError(f"{path}: not a checkpoint")
-    _, kind_code, _, _ = r.unpack("IBII")
-    if kind_code not in _KIND_NAMES:
-        raise PersistError(f"{path}: unknown model kind code {kind_code}")
-    return _KIND_NAMES[kind_code]
-
-
 # ---------------------------------------------------------------------------
 # array and image files
 # ---------------------------------------------------------------------------
@@ -233,25 +234,13 @@ def save_array(path, arr) -> None:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise PersistError("array files hold 2-d data")
-    blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    with open(path, "wb") as f:
-        f.write(ARRAY_MAGIC + struct.pack("<III", FORMAT_VERSION, *arr.shape))
-        f.write(blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+    _write_file(path, ARRAY_MAGIC, struct.pack("<II", *arr.shape), [arr])
 
 
 def load_array(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        r = _Reader(f.read(), str(path))
-    if r.read(4) != ARRAY_MAGIC:
-        raise PersistError(f"{path}: not an array file")
-    version, rows, cols = r.unpack("III")
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(f"{path}: format version {version}")
-    blob = r.read(8 * rows * cols)
-    (crc,) = r.unpack("I")
-    if zlib.crc32(blob) & 0xFFFFFFFF != crc:
-        raise ChecksumMismatch(f"{path}: checksum mismatch")
-    return np.frombuffer(blob, dtype="<f8").reshape(rows, cols).copy()
+    r = _open_file(path, ARRAY_MAGIC, "an array file")
+    rows, cols = r.unpack("II")
+    return r.payload(rows * cols).reshape(rows, cols).copy()
 
 
 @dataclass
@@ -283,27 +272,14 @@ class Dataset:
 def save_image_dataset(path, dataset: Dataset) -> None:
     if dataset.image_shape is None:
         raise PersistError("dataset has no image shape")
-    h, w, c = dataset.image_shape
-    blob = np.ascontiguousarray(dataset.samples, dtype="<f8").tobytes()
-    with open(path, "wb") as f:
-        f.write(IMAGE_MAGIC + struct.pack("<IIIII", FORMAT_VERSION, h, w, c,
-                                          dataset.samples.shape[0]))
-        f.write(blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+    head = struct.pack("<IIII", *dataset.image_shape, dataset.samples.shape[0])
+    _write_file(path, IMAGE_MAGIC, head, [dataset.samples])
 
 
 def load_image_dataset(path) -> Dataset:
-    with open(path, "rb") as f:
-        r = _Reader(f.read(), str(path))
-    if r.read(4) != IMAGE_MAGIC:
-        raise PersistError(f"{path}: not an image dataset")
-    version, h, w, c, count = r.unpack("IIIII")
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(f"{path}: format version {version}")
-    blob = r.read(8 * h * w * c * count)
-    (crc,) = r.unpack("I")
-    if zlib.crc32(blob) & 0xFFFFFFFF != crc:
-        raise ChecksumMismatch(f"{path}: checksum mismatch")
-    samples = np.frombuffer(blob, dtype="<f8").reshape(count, h * w * c).copy()
+    r = _open_file(path, IMAGE_MAGIC, "an image dataset")
+    h, w, c, count = r.unpack("IIII")
+    samples = r.payload(h * w * c * count).reshape(count, h * w * c).copy()
     return Dataset(kind="image-grid", samples=samples, image_shape=(h, w, c))
 
 

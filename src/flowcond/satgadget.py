@@ -70,16 +70,8 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def evaluate(self, assignment) -> bool:
-        """Truth value at a +-1 assignment vector."""
-        a = np.asarray(assignment)
-        for clause in self.clauses:
-            if not any(a[var] == pol for var, pol in clause):
-                return False
-        return True
-
     def satisfies(self, assignments) -> np.ndarray:
-        """Vectorized :meth:`evaluate` over rows of +-1 assignments."""
+        """Truth value at each row of +-1 assignments."""
         a = np.asarray(assignments)
         ok = np.ones(len(a), dtype=bool)
         for clause in self.clauses:

@@ -112,14 +112,10 @@ class AdamState:
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
 
 
-def global_grad_norm(grads) -> float:
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
-
-
 def clip_gradients(grads, max_norm: float | None) -> float:
     """Scale gradients in place to the given global norm; returns the
     pre-clip norm (what traces record)."""
-    norm = global_grad_norm(grads)
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
     if max_norm is not None and norm > max_norm:
         scale = max_norm / norm
         for g in grads:
@@ -219,16 +215,14 @@ def train_amortized(base: FlowModel, conditional_pre_generator: FlowModel,
     if pre.context_width != 2 * d:
         raise TrainingError(
             f"conditional flow context width {pre.context_width} != 2*d = {2 * d}")
-    cs = ComposedSampler(pre, base)
     smoothing = SmoothingSpec(config.sigma)
 
     def step_loss(bind, step):
         obs = obs_sampler(stream_rng(config.seed, "avi-obs", step))
-        ctx = observation_context(obs)
+        cs = ComposedSampler(pre, base, context=observation_context(obs))
         eps = stream_rng(config.seed, "avi-eps", step).standard_normal(
             (config.batch_size, d))
-        ctx_node = pre.context_node(bind.graph, ctx, eps.shape[0])
-        return _loss_row(*svi_loss_nodes(bind, cs, obs, smoothing, eps, ctx_node))
+        return _loss_row(*svi_loss_nodes(bind, cs, obs, smoothing, eps))
 
     _fit(pre.parameters(), config, step_loss)
     return pre

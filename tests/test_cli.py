@@ -405,6 +405,20 @@ seed = bogus
         cfg = infer_config(tmp_path, trained_base, out_name="busy")
         assert main(["infer", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("index", [-1, -3])
+    def test_negative_observe_index_is_exit_2(self, tmp_path, trained_base,
+                                              index, capsys):
+        cfg = infer_config(tmp_path, trained_base)
+        assert main(["infer", "--config", cfg,
+                     "--set", f"observe.index={index}"]) == 2
+        assert "config error: observe.index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_empty_dataset_is_exit_2(self, tmp_path, n, capsys):
+        cfg = base_config(tmp_path)
+        assert main(["train-base", "--config", cfg, "--set", f"data.n={n}"]) == 2
+        assert "config error: data.n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["bogus", "--config", "run.cfg"],
                                       ["infer"]],
                              ids=["unknown-command", "missing-config"])

@@ -4,6 +4,8 @@ central differences, values and adjoints bit for bit against the
 reference, and every driver's trace rows, parameters and outputs unchanged
 when the reference is swapped in."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -174,7 +176,7 @@ def run_drivers(monkeypatch, base_kind):
     }
     cfg = TrainConfig(learning_rate=5e-3, num_steps=4, batch_size=16, sigma=0.2, seed=9)
     out = {}
-    flow, _ = train_base_mle(base.copy(), data, cfg)
+    flow, _ = train_base_mle(copy.deepcopy(base), data, cfg)
     out["mle"] = (list(rows), flow.parameters())
     for name, obs in problems.items():
         rows.clear()

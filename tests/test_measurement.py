@@ -78,6 +78,9 @@ class TestLinearityAndAdjoint:
         g = de.Graph()
         node = op.apply_node(g.constant(x))
         np.testing.assert_array_equal(node.value, op.apply(x))
+        obs = Observation(y_star=rng.standard_normal(op.output_dim), op=op)
+        np.testing.assert_array_equal(obs.residual_node(g.constant(x)).value,
+                                      obs.residual(x))
 
     def test_gaussian_vjp_against_finite_differences(self):
         op = GaussianOp(seed=5, m=3, d=7)
@@ -145,6 +148,19 @@ class TestObservation:
         obs = make_observation(op, np.zeros(3), noise_sigma=0.5,
                                rng=np.random.default_rng(7))
         assert np.any(obs.y_star != 0.0)
+
+    @pytest.mark.parametrize("op", all_ops(), ids=lambda o: o.kind + str(o.output_dim))
+    def test_residual_is_per_row_squared_misfit(self, op):
+        rng = np.random.default_rng(8)
+        obs = Observation(y_star=rng.standard_normal(op.output_dim), op=op)
+        x = rng.standard_normal((5, op.input_dim))
+        matrix = op.matrix if op.kind != "mask" else np.eye(op.input_dim)[op.indices]
+        expected = np.sum((x @ matrix.T - obs.y_star) ** 2, axis=1)
+        np.testing.assert_allclose(obs.residual(x), expected, rtol=1e-12)
+        assert obs.residual(x[0]).shape == (1,)
+        assert obs.residual(x[0])[0] == obs.residual(x[:1])[0]
+        err = de.check_gradients(lambda n: obs.residual_node(n).sum(), x)
+        assert err < 1e-7
 
     def test_noise_needs_rng(self):
         with pytest.raises(MeasurementError):

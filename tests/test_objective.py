@@ -2,6 +2,7 @@
 Gaussian KL, exact identity-start zeros, the loss decomposition, gradient
 correctness, and the joint-vs-marginal quadrature bound."""
 
+import copy
 import math
 
 import numpy as np
@@ -97,6 +98,22 @@ class TestSviLoss:
         from flowcond.training import TrainConfig
         assert TrainConfig().sigma == 0.1
 
+    def test_nodes_read_the_bound_context(self):
+        base = perturbed_flow(4, "affine", seed=16)
+        cond = perturbed_flow(4, "additive", seed=17, context_width=8)
+        obs = Observation(y_star=np.array([0.5, -0.3]), op=MaskOp([0, 2], 4))
+        smoothing = SmoothingSpec(0.5)
+        eps = np.random.default_rng(18).standard_normal((16, 4))
+        totals = []
+        for seed in (19, 20):
+            context = np.random.default_rng(seed).standard_normal(8)
+            cs = ComposedSampler(cond, base, context=context)
+            _, _, total = svi_loss_nodes(ParamBinder(de.Graph()), cs, obs,
+                                         smoothing, eps)
+            assert float(total.value) == svi_loss(cs, obs, smoothing, eps).total
+            totals.append(float(total.value))
+        assert totals[0] != totals[1]
+
     def test_gradient_matches_finite_differences(self):
         base = perturbed_flow(4, "affine", seed=11, num_layers=2,
                               hidden_width=8)
@@ -188,7 +205,7 @@ class TestSviLoss:
 class TestAmbientVi:
     def test_q_equal_to_base_has_zero_kl(self):
         base = perturbed_flow(3, "affine", seed=28)
-        q = base.copy()
+        q = copy.deepcopy(base)
         obs = Observation(y_star=np.array([0.3]), op=MaskOp([0], 3))
         eps = np.random.default_rng(29).standard_normal((128, 3))
         lb = ambient_vi_loss(q, base, obs, SmoothingSpec(0.2), eps)

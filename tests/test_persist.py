@@ -3,8 +3,10 @@ detection, dataset generators, config parsing/validation, and the
 output-directory lock."""
 
 import os
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ import pytest
 from flowcond.flows import DiagonalAffine, FlowModel
 from flowcond.persist import (ChecksumMismatch, ConfigError, Dataset,
                               KindMismatch, LockError, PersistError,
-                              TruncatedFile, VersionMismatch, checkpoint_kind,
-                              load_array, load_checkpoint, load_image_dataset,
+                              TruncatedFile, VersionMismatch, load_array,
+                              load_checkpoint, load_image_dataset,
                               load_run_config, make_blob_images, output_lock,
                               save_array, save_checkpoint, save_image_dataset,
                               synth_dataset, write_manifest)
@@ -83,7 +85,6 @@ class TestCheckpoint:
         model = perturbed_flow(3, "affine", seed=10)
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path, "base")
-        assert checkpoint_kind(path) == "base"
         with pytest.raises(KindMismatch):
             load_checkpoint(path, "pregen")
 
@@ -93,8 +94,6 @@ class TestCheckpoint:
         raw = bytearray(path.read_bytes())
         raw[8] = 9                      # the u8 kind after magic and version
         path.write_bytes(bytes(raw))
-        with pytest.raises(PersistError, match="kind code 9"):
-            checkpoint_kind(path)
         with pytest.raises(PersistError, match="kind code 9"):
             load_checkpoint(path)
 
@@ -175,6 +174,69 @@ class TestImageDataset:
         with pytest.raises(PersistError):
             convert_npy_images(paths, out)
         assert not out.exists()
+
+
+# magic -> (write a small file of that format to a path, its loader)
+FORMATS = {
+    "FLWC": (lambda path: save_checkpoint(perturbed_flow(3, "affine", seed=30),
+                                          path, "base"), load_checkpoint),
+    "FLWA": (lambda path: save_array(path, np.arange(12.0).reshape(3, 4)),
+             load_array),
+    "FLWI": (lambda path: save_image_dataset(path, make_blob_images(2, 4, 4, seed=31)),
+             load_image_dataset),
+}
+
+# name -> (edit of the file's bytes, error the loader raises, message)
+CORRUPTIONS = {
+    "wrong-magic": (lambda raw: b"NOPE" + raw[4:], PersistError, "not a"),
+    "wrong-version": (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:],
+                      VersionMismatch, "format version 2, expected 1"),
+    "truncated": (lambda raw: raw[:-1], TruncatedFile, "truncated"),
+    # byte -12 lies in the last f64 of the blob, before the 4-byte crc32
+    "flipped-payload-byte": (lambda raw: raw[:-12] + bytes([raw[-12] ^ 1]) + raw[-11:],
+                             ChecksumMismatch, "checksum mismatch"),
+    "bytes-after-checksum": (lambda raw: raw + b"\x00", PersistError,
+                             "trailing bytes after checksum"),
+}
+
+
+class TestBinaryFrame:
+    """Checkpoints, array files and image datasets share one frame:
+    magic | u32 version | head | f64 blob | u32 crc32, ending at the crc."""
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    @pytest.mark.parametrize("magic", FORMATS)
+    def test_corruption_rejected(self, tmp_path, magic, corruption):
+        write, load = FORMATS[magic]
+        edit, error, message = CORRUPTIONS[corruption]
+        path = tmp_path / "f.bin"
+        write(path)
+        raw = path.read_bytes()
+        assert raw[:4] == magic.encode("ascii")
+        load(path)
+        path.write_bytes(edit(raw))
+        with pytest.raises(error, match=message):
+            load(path)
+
+    def test_array_file_layout(self, tmp_path):
+        arr = np.array([[1.5, -2.0, 0.25], [3.0, 4.0, -0.5]])
+        blob = struct.pack("<6d", 1.5, -2.0, 0.25, 3.0, 4.0, -0.5)
+        expected = (b"FLWA" + struct.pack("<III", 1, 2, 3)    # version, rows, cols
+                    + blob + struct.pack("<I", zlib.crc32(blob)))
+        save_array(tmp_path / "a.flwa", arr)
+        assert (tmp_path / "a.flwa").read_bytes() == expected
+
+    def test_checkpoint_layout(self, tmp_path):
+        model = FlowModel(2, [DiagonalAffine([0.5, 2.0], [0.1, -0.2])])
+        blob = struct.pack("<4d", 0.5, 2.0, 0.1, -0.2)    # scale, then shift
+        expected = (b"FLWC" + struct.pack("<I", 1)        # version
+                    + struct.pack("<BII", 0, 2, 0)        # kind base, dim, context
+                    + struct.pack("<I", 1)                # one layer:
+                    + struct.pack("<BI", 3, 2)            # diagonal affine, d = 2
+                    + struct.pack("<Q", 4)                # blob count
+                    + blob + struct.pack("<I", zlib.crc32(blob)))
+        save_checkpoint(model, tmp_path / "m.ckpt", "base")
+        assert (tmp_path / "m.ckpt").read_bytes() == expected
 
 
 class TestSyntheticDatasets:
