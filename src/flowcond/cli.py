@@ -23,8 +23,8 @@ from .measurement import (Downsample2xOp, GaussianOp, GrayscaleOp, MaskOp,
                           Observation, load_mask_file, make_observation)
 from .objective import SmoothingSpec
 from .persist import ConfigError, RunConfig
-from .training import (TrainConfig, observation_context, stream_rng,
-                       train_amortized, train_base_mle, train_svi)
+from .training import (TrainConfig, TrainingDiverged, observation_context,
+                       stream_rng, train_amortized, train_base_mle, train_svi)
 
 SIGMA_SWEEP_DEFAULT = "1,0.1,0.01,1e-3,1e-4"
 
@@ -150,6 +150,18 @@ def _require_mask(op, command: str) -> None:
         raise ConfigError("measure.kind", f"{command} needs a mask operator")
 
 
+def _fit_traced(out: Path, fit, *args):
+    """``fit(*args)``, writing ``trace.csv`` whether it returns or diverges:
+    a diverged fit leaves the rows before its failing step."""
+    try:
+        model, trace = fit(*args)
+    except TrainingDiverged as e:
+        (out / "trace.csv").write_text(e.trace.to_csv(), encoding="ascii")
+        raise
+    (out / "trace.csv").write_text(trace.to_csv(), encoding="ascii")
+    return model, trace
+
+
 def _save_observation(out: Path, obs: Observation) -> None:
     persist.save_array(out / "y_star.flwa", obs.y_star[None, :])
     if obs.ground_truth is not None:
@@ -163,9 +175,8 @@ def _save_observation(out: Path, obs: Observation) -> None:
 def cmd_train_base(cfg: RunConfig, out: Path) -> str:
     ds = _dataset(cfg)
     flow = make_flow(ds.dim, rng=stream_rng(cfg.seed, "base-init"), **_arch(cfg))
-    flow, trace = train_base_mle(flow, ds, _train_config(cfg))
+    flow, trace = _fit_traced(out, train_base_mle, flow, ds, _train_config(cfg))
     persist.save_checkpoint(flow, out / "base.ckpt", "base")
-    (out / "trace.csv").write_text(trace.to_csv(), encoding="ascii")
     final = trace.rows[-1][3] if trace.rows else float("nan")
     return (f"train-base: {len(trace)} steps on {ds.kind} (d={ds.dim}), "
             f"final nll/dim={final:.4f} -> {out / 'base.ckpt'}")
@@ -174,9 +185,8 @@ def cmd_train_base(cfg: RunConfig, out: Path) -> str:
 def cmd_infer(cfg: RunConfig, out: Path) -> str:
     base = _load_base(cfg)
     _, obs = _problem(cfg, base.dim)
-    pre, trace = train_svi(base, obs, _train_config(cfg))
+    pre, trace = _fit_traced(out, train_svi, base, obs, _train_config(cfg))
     persist.save_checkpoint(pre, out / "pregen.ckpt", "pregen")
-    (out / "trace.csv").write_text(trace.to_csv(), encoding="ascii")
     n = cfg.getint("sample", "n", 1000)
     samples = ComposedSampler(pre, base).sample(n, stream_rng(cfg.seed, "sample"))
     persist.save_array(out / "samples.flwa", samples)
@@ -287,6 +297,11 @@ def cmd_eval(cfg: RunConfig, out: Path) -> str:
     samples = persist.load_array(cfg.get("eval", "samples_path"))
     center = estimators.mmse_estimate(samples)
     n, dim = samples.shape
+    coords = cfg.getints("eval", "marginals", "")
+    for coord in coords:
+        if not 0 <= coord < dim:
+            raise ConfigError("eval.marginals",
+                              f"coordinate {coord} out of range for d = {dim}")
     rows = [("n_samples", float(n)), ("dim", float(dim))]
     if cfg.has("eval", "gt_path"):
         gt = persist.load_array(cfg.get("eval", "gt_path"))[0]
@@ -303,10 +318,9 @@ def cmd_eval(cfg: RunConfig, out: Path) -> str:
         rows.append(("mean_residual", float(np.mean(obs.residual(samples)))))
     lines = ["metric,value"] + [f"{k},{v!r}" for k, v in rows]
     (out / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
-    if cfg.has("eval", "marginals"):
-        for coord in cfg.getints("eval", "marginals"):
-            pm = estimators.pixel_marginal(samples, coord)
-            estimators.export_pixel_marginal(pm, out / f"marginal_{coord}.txt")
+    for coord in coords:
+        pm = estimators.pixel_marginal(samples, coord)
+        estimators.export_pixel_marginal(pm, out / f"marginal_{coord}.txt")
     shown = ", ".join(f"{k}={v:.5g}" for k, v in rows[2:6])
     return f"eval: {shown} -> {out / 'metrics.csv'}"
 
@@ -401,7 +415,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except Exception:
+    except Exception as e:
         trace_path = Path(cfg.output_dir) / "error-trace.txt"
         try:
             trace_path.write_text(traceback.format_exc(), encoding="utf-8")
@@ -409,7 +423,7 @@ def main(argv=None) -> int:
         except OSError:
             where = "stderr"
             traceback.print_exc()
-        print(f"{args.command}: failed, trace at {where}", file=sys.stderr)
+        print(f"{args.command}: failed: {e}; trace at {where}", file=sys.stderr)
         return 1
     print(summary)
     return 0

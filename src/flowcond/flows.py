@@ -206,8 +206,10 @@ class DiagonalAffine:
 
     def __init__(self, scale, shift=None):
         self.scale = np.asarray(scale, dtype=np.float64).copy()
-        if np.any(np.abs(self.scale) < _SCALE_FLOOR):
-            raise SingularScale("diagonal scale below invertibility floor")
+        if not np.all(np.isfinite(self.scale)
+                      & (np.abs(self.scale) >= _SCALE_FLOOR)):
+            raise SingularScale("diagonal scale non-finite or below the "
+                                "invertibility floor")
         self.shift = (np.zeros_like(self.scale) if shift is None
                       else np.asarray(shift, dtype=np.float64).copy())
         if self.shift.shape != self.scale.shape:

@@ -33,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .flows import CouplingLayer, DiagonalAffine, FlowModel, Mlp, Permutation
+from .flows import (CouplingLayer, DiagonalAffine, FlowError, FlowModel, Mlp,
+                    Permutation)
 
 CHECKPOINT_MAGIC = b"FLWC"
 ARRAY_MAGIC = b"FLWA"
@@ -216,12 +217,15 @@ def load_checkpoint(path, expected_kind: str | None = None) -> FlowModel:
     for a in targets:
         a[...] = values[off:off + a.size].reshape(a.shape)
         off += a.size
-    model = FlowModel(dim, layers, context_width)
-    # DiagonalAffine caches its log-determinant; refresh after the fill.
-    for layer in model.layers:
-        if isinstance(layer, DiagonalAffine):
-            layer.logdet = float(np.sum(np.log(np.abs(layer.scale))))
-    return model
+    # a diagonal layer is built again from its stored values, so the
+    # constructor's scale check and cached log-determinant apply to them
+    try:
+        layers = [DiagonalAffine(layer.scale, layer.shift)
+                  if isinstance(layer, DiagonalAffine) else layer
+                  for layer in layers]
+    except FlowError as e:
+        raise PersistError(f"{path}: {e}") from None
+    return FlowModel(dim, layers, context_width)
 
 
 # ---------------------------------------------------------------------------

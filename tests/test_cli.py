@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from flowcond.cli import main
-from flowcond.persist import load_array, load_checkpoint
+from flowcond.persist import load_array, load_checkpoint, save_array
 
 
 def write_cfg(path, text):
@@ -163,6 +163,24 @@ marginals = 0,1
         # dominance of the mean holds on any sample set
         rows = dict(line.split(",") for line in metrics.splitlines()[1:])
         assert float(rows["mse_mmse"]) <= float(rows["mean_mse_single"])
+
+    @pytest.mark.parametrize("marginals", ["0,5", "-1", "2"])
+    def test_out_of_range_marginal_is_exit_2_before_any_output(
+            self, tmp_path, marginals, capsys):
+        save_array(tmp_path / "s.flwa",
+                   np.random.default_rng(0).standard_normal((20, 2)))
+        cfg = write_cfg(tmp_path / "eval.cfg", f"""
+[run]
+output_dir = {tmp_path / "metrics"}
+
+[eval]
+samples_path = {tmp_path / "s.flwa"}
+marginals = {marginals}
+""")
+        assert main(["eval", "--config", cfg]) == 2
+        assert "config error: eval.marginals" in capsys.readouterr().err
+        written = sorted(p.name for p in (tmp_path / "metrics").iterdir())
+        assert written == ["manifest.txt"]
 
 
 def lmc_config(tmp_path, ckpt):
@@ -397,6 +415,25 @@ seed = bogus
         assert main(["infer", "--config", cfg]) == 1
         assert (tmp_path / "broken" / "error-trace.txt").exists()
         assert "trace at" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train-base", "infer"])
+    def test_divergence_writes_partial_trace(self, tmp_path, trained_base,
+                                             command, capsys):
+        # an absurd learning rate blows the weights past float range
+        cfg = (base_config(tmp_path, out_name="diverged") if command == "train-base"
+               else infer_config(tmp_path, trained_base, out_name="diverged"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, "--config", cfg,
+                         "--set", "train.learning_rate=1e200",
+                         "--set", "train.gradient_clip_norm=none",
+                         "--set", "train.sigma=1e-3"]) == 1
+        step = int(re.search(r"non-finite loss at step (\d+)",
+                             capsys.readouterr().err).group(1))
+        lines = (tmp_path / "diverged" / "trace.csv").read_text().splitlines()
+        assert lines[0] == "step,kl,penalty,total,grad_norm"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == list(range(step))
+        assert np.all(np.isfinite(rows))
 
     def test_lock_contention_is_runtime_failure(self, tmp_path, trained_base):
         out = tmp_path / "busy"

@@ -1,14 +1,54 @@
 """Estimator tests: the mean-dominance identity, PSNR conventions,
-diversity normalization, and marginal histogram/KDE behavior."""
+diversity normalization, and marginal histogram/KDE behavior; the blocked
+diversity and KDE against their direct formulas, the marginal export
+against its per-line writer, and the memory both stay in."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from flowcond.estimators import (EstimatorError, diversity, mmse_estimate,
-                                 mse, mse_decomposition, pixel_marginal, psnr,
+from flowcond.estimators import (EstimatorError, diversity,
+                                 export_pixel_marginal, mmse_estimate, mse,
+                                 mse_decomposition, pixel_marginal, psnr,
                                  silverman_bandwidth)
+
+
+def brute_diversity(x):
+    """All-pairs mean distance / sqrt(d), one row of differences at a time."""
+    n, d = x.shape
+    total = 0.0
+    for i in range(n - 1):
+        diff = x[i + 1:] - x[i]
+        total += float(np.sum(np.sqrt(np.sum(diff * diff, axis=1))))
+    return total / (n * (n - 1) / 2) / math.sqrt(d)
+
+
+def direct_kde(v, grid, bw):
+    z = (grid[:, None] - v[None, :]) / bw
+    return np.exp(-0.5 * z * z).mean(axis=1) / (bw * math.sqrt(2.0 * math.pi))
+
+
+def line_by_line_export(pm, path):
+    """The marginal writer as it was, one write per line: the byte reference."""
+    with open(path, "w", encoding="ascii") as f:
+        f.write(f"# coordinate={pm.coordinate} mean={pm.mean!r} "
+                f"variance={pm.variance!r} bandwidth={pm.bandwidth!r}\n")
+        f.write("bin_left,bin_right,count\n")
+        for i, c in enumerate(pm.counts):
+            f.write(f"{float(pm.bin_edges[i])!r},"
+                    f"{float(pm.bin_edges[i + 1])!r},{int(c)}\n")
+        f.write("grid,kde\n")
+        for g, d in zip(pm.grid, pm.density):
+            f.write(f"{float(g)!r},{float(d)!r}\n")
+
+
+def far_out_column(rng, n=2000):
+    """Pixel-like draws with two far-out values, as a brief fit gives."""
+    v = 0.5 + 0.05 * rng.standard_normal(n)
+    v[:2] = [173.0, -90.0]
+    return v
 
 
 class TestMmse:
@@ -75,6 +115,29 @@ class TestDiversity:
         with pytest.raises(EstimatorError):
             diversity(np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("shape", [(2, 1), (7, 3), (300, 64), (1000, 2)])
+    def test_matches_brute_force(self, shape):
+        x = np.random.default_rng(sum(shape)).standard_normal(shape)
+        want = brute_diversity(x)
+        assert abs(diversity(x) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("case", ["duplicated", "offset", "scaled"])
+    def test_matches_brute_force_where_gram_cancels(self, case):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((200, 5))
+        if case == "duplicated":
+            x[100:] = x[:100]
+        elif case == "offset":     # without centring, the Gram identity
+            # cancels ~8 of 16 digits here
+            x += 1e4
+        else:
+            x[::40] *= 100.0
+        want = brute_diversity(x)
+        assert abs(diversity(x) - want) <= 1e-12 * want
+
+    def test_identical_rows_across_blocks_give_exact_zero(self):
+        assert diversity(np.tile([0.1, -0.3, 0.7], (150, 1))) == 0.0
+
 
 class TestPixelMarginal:
     def test_counts_conserve_n(self):
@@ -115,8 +178,26 @@ class TestPixelMarginal:
         with pytest.raises(EstimatorError):
             pixel_marginal(np.zeros((3, 2)), coordinate=5)
 
+    @pytest.mark.parametrize("column", ["normal", "far_out"])
+    def test_kde_matches_direct_sum(self, column):
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal(2000) if column == "normal" else far_out_column(rng)
+        pm = pixel_marginal(v[:, None], 0)
+        want = direct_kde(v, pm.grid, pm.bandwidth)
+        assert np.max(np.abs(pm.density - want)) <= 1e-12 * want.max()
+
+    @pytest.mark.parametrize("column", ["normal", "far_out", "constant"])
+    def test_export_bytes_match_line_by_line_writer(self, tmp_path, column):
+        rng = np.random.default_rng(12)
+        v = {"normal": rng.standard_normal(300), "far_out": far_out_column(rng),
+             "constant": np.full(10, 0.1)}[column]
+        pm = pixel_marginal(v[:, None], 0, bins=17)
+        export_pixel_marginal(pm, tmp_path / "new.txt")
+        line_by_line_export(pm, tmp_path / "old.txt")
+        assert (tmp_path / "new.txt").read_bytes() == \
+            (tmp_path / "old.txt").read_bytes()
+
     def test_export_format(self, tmp_path):
-        from flowcond.estimators import export_pixel_marginal
         rng = np.random.default_rng(6)
         pm = pixel_marginal(rng.standard_normal((100, 1)), 0, bins=10)
         path = tmp_path / "marginal.txt"
@@ -127,6 +208,24 @@ class TestPixelMarginal:
         counts = [int(line.split(",")[2]) for line in
                   text.splitlines()[2:12]]
         assert sum(counts) == 100
+
+
+class TestMemory:
+    """Both estimators work in row blocks: a (5000, 2) set must not build
+    an n x n distance matrix (200 MB) or a 512 x n KDE matrix (20 MB)."""
+
+    @pytest.mark.parametrize("estimator", [diversity,
+                                           lambda s: pixel_marginal(s, 0)],
+                             ids=["diversity", "pixel_marginal"])
+    def test_peak_under_16_mb(self, estimator):
+        s = np.random.default_rng(13).standard_normal((5000, 2))
+        tracemalloc.start()
+        try:
+            estimator(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestSampleSet:

@@ -131,6 +131,11 @@ class TestLogDet:
         with pytest.raises(SingularScale):
             DiagonalAffine([1.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_nonfinite_diagonal_scale_rejected(self, scale):
+        with pytest.raises(SingularScale):
+            DiagonalAffine([1.0, scale])
+
 
 class TestLogProb:
     def test_identity_model_at_origin(self):

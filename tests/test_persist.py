@@ -239,6 +239,19 @@ class TestBinaryFrame:
         assert (tmp_path / "m.ckpt").read_bytes() == expected
 
 
+    @pytest.mark.parametrize("scale", [(0.0, 2.0), (1e-13, 1.0),
+                                       (float("nan"), 1.0), (1.0, float("inf"))])
+    def test_diagonal_scale_checked_on_load(self, tmp_path, scale):
+        # a hand-built file: the writer cannot produce such a layer
+        blob = struct.pack("<4d", *scale, 0.0, 0.0)
+        (tmp_path / "m.ckpt").write_bytes(
+            b"FLWC" + struct.pack("<I", 1) + struct.pack("<BII", 0, 2, 0)
+            + struct.pack("<I", 1) + struct.pack("<BI", 3, 2)
+            + struct.pack("<Q", 4) + blob + struct.pack("<I", zlib.crc32(blob)))
+        with pytest.raises(PersistError, match="diagonal scale"):
+            load_checkpoint(tmp_path / "m.ckpt")
+
+
 class TestSyntheticDatasets:
     def test_deterministic(self):
         a = synth_dataset("two-moons", 100, seed=15)
