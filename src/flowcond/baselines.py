@@ -184,8 +184,8 @@ def _optimize_latent(base, obs, z0, lr, steps, lam):
             loss = loss + lam * zn.square().sum()
         return loss, (0.0, 0.0, float(loss.value))
 
-    _fit([z], TrainConfig(learning_rate=lr, num_steps=steps,
-                          gradient_clip_norm=None), step_loss)
+    _fit(z.reshape(-1), [z], TrainConfig(learning_rate=lr, num_steps=steps,
+                                         gradient_clip_norm=None), step_loss)
     return z, latent_objective(base, obs, z, lam)
 
 

@@ -33,12 +33,16 @@ SIGMA_SWEEP_DEFAULT = "1,0.1,0.01,1e-3,1e-4"
 # config -> objects
 # ---------------------------------------------------------------------------
 
+# the [data] kinds drawn from a seed rather than read from a file
+_GENERATED_KINDS = ("two-moons", "gaussian-mixture", "checkerboard", "blobs")
+
+
 def _generated_dataset(cfg: RunConfig, n: int,
                        seed: int) -> persist.Dataset | None:
     """``n`` rows of a synthetic or blob ``[data]`` kind, drawn at ``seed``;
     None for any other kind."""
     kind = cfg.get("data", "kind", "gaussian-mixture")
-    if kind not in ("two-moons", "gaussian-mixture", "checkerboard", "blobs"):
+    if kind not in _GENERATED_KINDS:
         return None
     if n < 1:
         raise ConfigError("data.n", "must be >= 1")
@@ -114,6 +118,11 @@ def _ground_truth(cfg: RunConfig) -> np.ndarray:
     index = cfg.getint("observe", "index", 0)
     if index < 0:
         raise ConfigError("observe.index", "must be >= 0")
+    # checked before index + 1 rows are drawn, which a huge index makes slow
+    n = cfg.getint("data", "n", 4000)
+    if cfg.get("data", "kind", "gaussian-mixture") in _GENERATED_KINDS \
+            and index >= n:
+        raise ConfigError("observe.index", f"must be below [data] n = {n}")
     ds = _generated_dataset(cfg, index + 1,
                             cfg.getint("observe", "seed", cfg.seed + 1000))
     if ds is None:

@@ -7,6 +7,11 @@ into a bijection on R^d with a standard-normal prior; :class:`ComposedSampler`
 pairs a trainable pre-generator with a frozen base flow, which is the
 conditional sampler everything else revolves around.
 
+A :class:`FlowModel` keeps every layer's state -- conditioner weights and
+biases, diagonal scales and shifts -- in one contiguous float64 vector,
+in checkpoint descriptor order, and each layer holds views of it.  That
+vector is a checkpoint's blob, and the optimizer steps it as a whole.
+
 Every layer has two forms of each pass.  ``forward_array``/``inverse_array``
 are plain numpy: :meth:`FlowModel.forward`, ``inverse``, ``log_prob``,
 ``sample`` and all of :class:`ComposedSampler` use them, so no graph is
@@ -22,6 +27,7 @@ frozen base runs inside the losses.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -58,6 +64,16 @@ def gaussian_logpdf_node(x: de.Node) -> de.Node:
     return -0.5 * x.square().sum(axis=1) + norm
 
 
+def flat_views(vector: np.ndarray, arrays) -> list[np.ndarray]:
+    """Views of the flat ``vector`` shaped like ``arrays``, which it holds
+    one after another."""
+    views, off = [], 0
+    for a in arrays:
+        views.append(vector[off:off + a.size].reshape(a.shape))
+        off += a.size
+    return views
+
+
 class ParamBinder:
     """One graph leaf per distinct parameter array, cached by identity."""
 
@@ -74,15 +90,18 @@ class ParamBinder:
             self._keep.append(arr)
         return node
 
-    def gradients(self, grad_map, params) -> list[np.ndarray]:
-        """Align a backward() gradient map with a parameter list."""
-        out = []
-        for p in params:
+    def gradients(self, grad_map, params, out=None) -> list[np.ndarray]:
+        """Align a backward() gradient map with a parameter list: each
+        array's gradient, zero where it has none, written into ``out``
+        (arrays shaped like ``params``; new ones when not given)."""
+        if out is None:
+            out = [np.empty_like(p) for p in params]
+        for p, g in zip(params, out):
             node = self._leaves.get(id(p))
             if node is None or node not in grad_map:
-                out.append(np.zeros_like(p))
+                g.fill(0.0)
             else:
-                out.append(grad_map[node])
+                g[...] = grad_map[node]
         return out
 
 
@@ -90,10 +109,11 @@ class Mlp:
     """Fully connected tanh network, linear output, final layer zeroed.
 
     The zero final layer makes every freshly built coupling layer the
-    identity map ("identity start").
+    identity map ("identity start").  Without ``rng`` every weight is zero:
+    the shape of a network whose values a checkpoint then supplies.
     """
 
-    def __init__(self, widths, rng: np.random.Generator):
+    def __init__(self, widths, rng: np.random.Generator | None = None):
         if len(widths) < 2:
             raise FlowError("Mlp needs at least input and output widths")
         self.widths = [int(w) for w in widths]
@@ -101,7 +121,7 @@ class Mlp:
         self.biases: list[np.ndarray] = []
         for i, (a, b) in enumerate(zip(self.widths[:-1], self.widths[1:])):
             last = i == len(self.widths) - 2
-            if last:
+            if last or rng is None:
                 w = np.zeros((a, b))
             else:
                 w = rng.normal(0.0, 1.0 / math.sqrt(a), size=(a, b))
@@ -110,6 +130,12 @@ class Mlp:
 
     def parameters(self) -> list[np.ndarray]:
         return self.weights + self.biases
+
+    def set_parameters(self, arrays) -> None:
+        """Hold ``arrays``, shaped like :meth:`parameters`, as the weights
+        then the biases themselves (no copy)."""
+        n = len(self.weights)
+        self.weights, self.biases = list(arrays[:n]), list(arrays[n:])
 
     def _run(self, x, weights, biases, acts=None):
         """Output of the dense-tanh stack; appends the input of each layer
@@ -180,6 +206,9 @@ class Permutation:
     def state_arrays(self):
         return []
 
+    def set_state(self, arrays):
+        pass
+
     def forward_array(self, x, context=None):
         return x[:, self.perm], None
 
@@ -205,22 +234,28 @@ class DiagonalAffine:
     """
 
     def __init__(self, scale, shift=None):
-        self.scale = np.asarray(scale, dtype=np.float64).copy()
-        if not np.all(np.isfinite(self.scale)
-                      & (np.abs(self.scale) >= _SCALE_FLOOR)):
-            raise SingularScale("diagonal scale non-finite or below the "
-                                "invertibility floor")
-        self.shift = (np.zeros_like(self.scale) if shift is None
-                      else np.asarray(shift, dtype=np.float64).copy())
-        if self.shift.shape != self.scale.shape:
+        scale = np.asarray(scale, dtype=np.float64).copy()
+        shift = (np.zeros_like(scale) if shift is None
+                 else np.asarray(shift, dtype=np.float64).copy())
+        if shift.shape != scale.shape:
             raise FlowError("scale and shift must share a shape")
-        self.logdet = float(np.sum(np.log(np.abs(self.scale))))
+        self.set_state([scale, shift])
 
     def parameters(self):
         return []
 
     def state_arrays(self):
         return [self.scale, self.shift]
+
+    def set_state(self, arrays):
+        """Hold ``arrays`` as the scale and the shift themselves (no copy),
+        checking the scale and caching the log-determinant."""
+        scale, shift = arrays
+        if not np.all(np.isfinite(scale) & (np.abs(scale) >= _SCALE_FLOOR)):
+            raise SingularScale("diagonal scale non-finite or below the "
+                                "invertibility floor")
+        self.scale, self.shift = scale, shift
+        self.logdet = float(np.sum(np.log(np.abs(scale))))
 
     def forward_array(self, x, context=None):
         return x * self.scale + self.shift, np.full(x.shape[0], self.logdet)
@@ -275,6 +310,9 @@ class CouplingLayer:
 
     def state_arrays(self):
         return self.conditioner.parameters()
+
+    def set_state(self, arrays):
+        self.conditioner.set_parameters(arrays)
 
     def _net_input(self, xc, context):
         if not self.context_width:
@@ -408,15 +446,63 @@ def _as_batch(x, dim, what):
 
 
 class FlowModel:
-    """A stack of invertible layers with a standard-normal prior on R^d."""
+    """A stack of invertible layers with a standard-normal prior on R^d.
 
-    def __init__(self, dim: int, layers, context_width: int = 0):
+    The model owns one float64 vector, :attr:`vector`, that holds the
+    state arrays of all its layers one after another; every layer reads
+    views of it.  Built from ``layers`` alone, the vector takes the layers'
+    current values; built with ``vector`` (a checkpoint's blob), the layers'
+    arrays become views of it and take its values.  A layer reads the
+    vector of the last model built from it.
+    """
+
+    def __init__(self, dim: int, layers, context_width: int = 0,
+                 vector: np.ndarray | None = None):
         self.dim = int(dim)
         self.layers = list(layers)
         self.context_width = int(context_width)
+        arrays = self.state_arrays()
+        size = sum(a.size for a in arrays)
+        if vector is None:
+            vector = np.empty(size)
+            views = flat_views(vector, arrays)
+            for v, a in zip(views, arrays):
+                v[...] = a
+        elif vector.shape != (size,):
+            raise FlowError(f"parameter vector must hold {size} values")
+        else:
+            views = flat_views(vector, arrays)
+        i = 0
+        for layer in self.layers:
+            k = len(layer.state_arrays())
+            layer.set_state(views[i:i + k])
+            i += k
+        self._vector = vector
+        self._views = views
+
+    @property
+    def vector(self) -> np.ndarray:
+        """The one vector of the layers' state, in checkpoint descriptor
+        order.  Raises FlowError once another model has taken the layers."""
+        if any(a is not v for a, v in zip(self.state_arrays(), self._views)):
+            raise FlowError("the layers of this model now read another "
+                            "model's vector")
+        return self._vector
+
+    def __deepcopy__(self, memo):
+        # NumPy's deepcopy does not keep views: the copy builds a vector of
+        # its own that its copied layers read
+        return FlowModel(self.dim, copy.deepcopy(self.layers, memo),
+                         self.context_width)
 
     def parameters(self) -> list[np.ndarray]:
+        """The trainable arrays, views of :attr:`vector`."""
         return [p for layer in self.layers for p in layer.parameters()]
+
+    def state_arrays(self) -> list[np.ndarray]:
+        """Every layer's state arrays in descriptor order; they tile
+        :attr:`vector`."""
+        return [a for layer in self.layers for a in layer.state_arrays()]
 
     # ---- tape passes; bind=None treats the weights as constants ----
 

@@ -14,7 +14,9 @@ and ends at its checksum.  Checkpoints have magic "FLWC" and the head
 Layer descriptors: 0 = permutation (u32 n, n*u32), 1/2 = additive/affine
 coupling (u32 n_cond + idx, u32 n_out + idx, u32 context_width, u32 n_widths
 + widths), 3 = diagonal affine (u32 d; scale then shift live in the blob).
-The blob holds every layer's arrays in order.  Sample sets have magic
+The blob is the model's parameter vector (:attr:`FlowModel.vector`): every
+layer's state arrays in order.  A load copies it once into the new model's
+vector and draws no random numbers.  Sample sets have magic
 "FLWA" and the head u32 rows, u32 cols; image datasets have magic "FLWI"
 and the head u32 height, width, channels, count.
 """
@@ -80,14 +82,19 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 class _Reader:
+    """Fields read in order from a view of a file's bytes, without copies."""
+
     def __init__(self, data: bytes, what: str):
-        self._buf = io.BytesIO(data)
+        self._data = memoryview(data)
+        self._pos = 0
         self._what = what
 
-    def read(self, n: int) -> bytes:
-        out = self._buf.read(n)
-        if len(out) != n:
+    def read(self, n: int) -> memoryview:
+        end = self._pos + n
+        if end > len(self._data):
             raise TruncatedFile(f"{self._what}: truncated (wanted {n} bytes)")
+        out = self._data[self._pos:end]
+        self._pos = end
         return out
 
     def unpack(self, fmt: str):
@@ -101,7 +108,7 @@ class _Reader:
         must end the file."""
         blob = self.read(8 * count)
         (crc,) = self.unpack("I")
-        if self._buf.read(1):
+        if self._pos != len(self._data):
             raise PersistError(f"{self._what}: trailing bytes after checksum")
         if zlib.crc32(blob) & 0xFFFFFFFF != crc:
             raise ChecksumMismatch(f"{self._what}: checksum mismatch")
@@ -156,10 +163,12 @@ def _layer_descriptor(layer) -> bytes:
 
 
 def _read_layer(r: _Reader):
+    """The layer a descriptor names; its state arrays are placeholders of
+    the right shapes, which the model's vector then replaces."""
     (code,) = r.unpack("B")
     if code == 0:
         (n,) = r.unpack("I")
-        return Permutation(r.ints(n)), []
+        return Permutation(r.ints(n))
     if code in (1, 2):
         (n_cond,) = r.unpack("I")
         idx_cond = r.ints(n_cond)
@@ -168,14 +177,11 @@ def _read_layer(r: _Reader):
         (ctx,) = r.unpack("I")
         (n_widths,) = r.unpack("I")
         widths = r.ints(n_widths).tolist()
-        mlp = Mlp(widths, np.random.default_rng(0))
-        layer = CouplingLayer("additive" if code == 1 else "affine",
-                              idx_cond, idx_out, mlp, ctx)
-        return layer, layer.state_arrays()
+        return CouplingLayer("additive" if code == 1 else "affine",
+                             idx_cond, idx_out, Mlp(widths), ctx)
     if code == 3:
         (d,) = r.unpack("I")
-        layer = DiagonalAffine(np.ones(d), np.zeros(d))
-        return layer, [layer.scale, layer.shift]
+        return DiagonalAffine(np.ones(d))
     raise PersistError(f"unknown layer code {code}")
 
 
@@ -184,12 +190,10 @@ def save_checkpoint(model: FlowModel, path, kind: str) -> None:
         raise PersistError(f"unknown checkpoint kind {kind!r}")
     head = struct.pack("<BIII", _KIND_CODES[kind], model.dim,
                        model.context_width, len(model.layers))
-    arrays = []
-    for layer in model.layers:
-        head += _layer_descriptor(layer)
-        arrays.extend(layer.state_arrays())
-    head += struct.pack("<Q", sum(a.size for a in arrays))
-    _write_file(path, CHECKPOINT_MAGIC, head, arrays)
+    head += b"".join(_layer_descriptor(layer) for layer in model.layers)
+    vector = model.vector
+    head += struct.pack("<Q", vector.size)
+    _write_file(path, CHECKPOINT_MAGIC, head, [vector])
 
 
 def load_checkpoint(path, expected_kind: str | None = None) -> FlowModel:
@@ -202,30 +206,19 @@ def load_checkpoint(path, expected_kind: str | None = None) -> FlowModel:
         raise KindMismatch(f"{path}: checkpoint kind {kind!r}, expected "
                            f"{expected_kind!r}")
     (n_layers,) = r.unpack("I")
-    layers, targets = [], []
-    for _ in range(n_layers):
-        layer, arrays = _read_layer(r)
-        layers.append(layer)
-        targets.extend(arrays)
+    layers = [_read_layer(r) for _ in range(n_layers)]
     (count,) = r.unpack("Q")
-    expected = sum(a.size for a in targets)
+    expected = sum(a.size for layer in layers for a in layer.state_arrays())
     if count != expected:
         raise PersistError(f"{path}: descriptor implies {expected} parameters, "
                            f"blob declares {count}")
-    values = r.payload(count)
-    off = 0
-    for a in targets:
-        a[...] = values[off:off + a.size].reshape(a.shape)
-        off += a.size
-    # a diagonal layer is built again from its stored values, so the
-    # constructor's scale check and cached log-determinant apply to them
+    vector = r.payload(count).copy()
+    # a diagonal layer checks the scale it is handed and caches its
+    # log-determinant, so a bad stored scale fails here
     try:
-        layers = [DiagonalAffine(layer.scale, layer.shift)
-                  if isinstance(layer, DiagonalAffine) else layer
-                  for layer in layers]
+        return FlowModel(dim, layers, context_width, vector)
     except FlowError as e:
         raise PersistError(f"{path}: {e}") from None
-    return FlowModel(dim, layers, context_width)
 
 
 # ---------------------------------------------------------------------------

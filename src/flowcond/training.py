@@ -10,13 +10,14 @@ reproducible regardless of call interleaving.
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diffengine as de
-from .flows import (ComposedSampler, FlowModel, ParamBinder,
+from .flows import (ComposedSampler, FlowModel, ParamBinder, flat_views,
                     gaussian_logpdf_node, make_flow)
 from .measurement import MaskOp, Observation
 from .objective import SmoothingSpec, ambient_vi_loss_nodes, svi_loss_nodes
@@ -90,36 +91,43 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class AdamState:
-    """Adam moments for a list of parameter arrays."""
+    """Adam moments for parameter arrays ``params`` that tile one flat
+    vector in order; the moments are flat vectors too, and each update
+    steps the whole vector with a few vector ops."""
 
     def __init__(self, params, learning_rate: float):
         self.lr = float(learning_rate)
         self.step = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        size = sum(p.size for p in params)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def update(self, params, grads) -> None:
-        """One in-place Adam step.  Zero gradients leave parameters unchanged."""
+    def update(self, vector, grad) -> None:
+        """One in-place Adam step of the flat ``vector`` with the flat
+        ``grad``.  Zero gradients leave parameters unchanged."""
         self.step += 1
         t = self.step
         c1 = 1.0 - _BETA1 ** t
         c2 = 1.0 - _BETA2 ** t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= _BETA1
-            m += (1.0 - _BETA1) * g
-            v *= _BETA2
-            v += (1.0 - _BETA2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
+        m, v = self.m, self.v
+        m *= _BETA1
+        m += (1.0 - _BETA1) * grad
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (grad * grad)
+        vector -= self.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
 
 
-def clip_gradients(grads, max_norm: float | None) -> float:
-    """Scale gradients in place to the given global norm; returns the
-    pre-clip norm (what traces record)."""
-    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+def clip_gradients(grad, grads, max_norm: float | None) -> float:
+    """Scale the flat gradient ``grad`` in place to the given global norm;
+    returns the pre-clip norm (what traces record).  ``grads`` are its
+    per-array views in parameter order: the squares are summed view by
+    view, so the norm has the bits of a sum over separate arrays."""
+    sq = grad * grad
+    ends = list(itertools.accumulate(g.size for g in grads))
+    norm = float(np.sqrt(sum(float(np.add.reduce(sq[a:b]))
+                             for a, b in zip([0] + ends, ends))))
     if max_norm is not None and norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
+        grad *= max_norm / norm
     return norm
 
 
@@ -131,9 +139,14 @@ def default_pre_generator(dim: int, seed: int, context_width: int = 0) -> FlowMo
                      rng=stream_rng(seed, "pregen-init"))
 
 
-def _fit(params, config: TrainConfig, step_loss, step_callback=None) -> TrainTrace:
-    """The optimizer loop every driver shares: Adam on ``params`` for
-    ``config.num_steps`` steps.
+def _fit(vector, params, config: TrainConfig, step_loss,
+         step_callback=None) -> TrainTrace:
+    """The optimizer loop every driver shares: Adam on the flat ``vector``
+    for ``config.num_steps`` steps.  ``params`` are the arrays the losses
+    bind, views that tile ``vector`` in order; their gradients are written
+    into one flat gradient of the same layout.  An array the losses never
+    bind (a diagonal layer's scale or shift) gets zero gradients, which
+    leave it unchanged.
 
     ``step_loss(bind, step)`` builds step ``step``'s objective on a fresh
     graph through ``bind`` and returns ``(loss node, (kl, penalty, total))``;
@@ -142,16 +155,18 @@ def _fit(params, config: TrainConfig, step_loss, step_callback=None) -> TrainTra
     when given, runs after every update.
     """
     adam = AdamState(params, config.learning_rate)
+    grad = np.zeros_like(vector)
+    grads = flat_views(grad, params)
     trace = TrainTrace()
     for step in range(config.num_steps):
         bind = ParamBinder(de.Graph())
         loss, (kl, pen, total) = step_loss(bind, step)
         if not np.isfinite(total):
             raise TrainingDiverged(step, trace)
-        grads = bind.gradients(de.backward(bind.graph, loss), params)
-        norm = clip_gradients(grads, config.gradient_clip_norm)
+        bind.gradients(de.backward(bind.graph, loss), params, grads)
+        norm = clip_gradients(grad, grads, config.gradient_clip_norm)
         trace.append(step, kl, pen, total, norm)
-        adam.update(params, grads)
+        adam.update(vector, grad)
         if step_callback is not None:
             step_callback(step)
     return trace
@@ -185,7 +200,7 @@ def train_svi(base: FlowModel, obs: Observation, config: TrainConfig,
         return _loss_row(*svi_loss_nodes(bind, cs, obs, smoothing, eps))
 
     hook = None if step_callback is None else lambda step: step_callback(step, pre)
-    return pre, _fit(pre.parameters(), config, step_loss, hook)
+    return pre, _fit(pre.vector, pre.state_arrays(), config, step_loss, hook)
 
 
 def observation_context(obs: Observation) -> np.ndarray:
@@ -224,7 +239,7 @@ def train_amortized(base: FlowModel, conditional_pre_generator: FlowModel,
             (config.batch_size, d))
         return _loss_row(*svi_loss_nodes(bind, cs, obs, smoothing, eps))
 
-    _fit(pre.parameters(), config, step_loss)
+    _fit(pre.vector, pre.state_arrays(), config, step_loss)
     return pre
 
 
@@ -242,7 +257,7 @@ def train_ambient_vi(base: FlowModel, obs: Observation, config: TrainConfig,
             (config.batch_size, d))
         return _loss_row(*ambient_vi_loss_nodes(bind, q, base, obs, smoothing, eps))
 
-    return q, _fit(q.parameters(), config, step_loss)
+    return q, _fit(q.vector, q.state_arrays(), config, step_loss)
 
 
 def train_base_mle(flow: FlowModel, dataset, config: TrainConfig,
@@ -265,4 +280,4 @@ def train_base_mle(flow: FlowModel, dataset, config: TrainConfig,
         return loss, (0.0, 0.0, float(loss.value) / flow.dim)
 
     hook = None if step_callback is None else lambda step: step_callback(step, flow)
-    return flow, _fit(flow.parameters(), config, step_loss, hook)
+    return flow, _fit(flow.vector, flow.state_arrays(), config, step_loss, hook)

@@ -1,10 +1,14 @@
-"""The per-op tape path of the conditioner and the coupling layer.
+"""The per-op tape path of the conditioner and the coupling layer, and
+the per-array optimizer.
 
-Each function records the pass one elementary tape operation at a time,
-as the package did before its passes became fused tape nodes with
+Each tape function records the pass one elementary tape operation at a
+time, as the package did before its passes became fused tape nodes with
 hand-written vector-Jacobian products.  The tests hold the fused ops and
-the plain-numpy passes to these, bit for bit, and
-:func:`use_reference` swaps them in for whole-driver comparisons.
+the plain-numpy passes to these, bit for bit, and :func:`use_reference`
+swaps them in for whole-driver comparisons.  :func:`clip_gradients` and
+:class:`AdamState` loop over the parameter arrays one at a time, as the
+optimizer did before it stepped one flat vector;
+:func:`use_reference_optimizer` swaps them in.
 """
 
 import math
@@ -12,7 +16,9 @@ import math
 import numpy as np
 
 from flowcond import diffengine as de
-from flowcond.flows import SCALE_LIMIT, CouplingLayer, FlowError, Mlp
+from flowcond import training
+from flowcond.flows import (SCALE_LIMIT, CouplingLayer, FlowError, Mlp,
+                            flat_views)
 
 
 def _param(bind, graph, arr):
@@ -76,3 +82,46 @@ def use_reference(monkeypatch):
     monkeypatch.setattr(Mlp, "forward_node", mlp_forward_node)
     monkeypatch.setattr(CouplingLayer, "forward_node", coupling_forward_node)
     monkeypatch.setattr(CouplingLayer, "inverse_node", coupling_inverse_node)
+
+
+def clip_gradients(grad, grads, max_norm):
+    """The global-norm clip over the separate arrays ``grads``."""
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    if max_norm is not None and norm > max_norm:
+        scale = max_norm / norm
+        for g in grads:
+            g *= scale
+    return norm
+
+
+class AdamState:
+    """Adam with one pair of moments per parameter array; ``update`` steps
+    each array of ``params`` (the views that tile ``vector``) with its own
+    part of ``grad``."""
+
+    def __init__(self, params, learning_rate):
+        self.lr = float(learning_rate)
+        self.step = 0
+        self.params = params
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def update(self, vector, grad):
+        self.step += 1
+        t = self.step
+        c1 = 1.0 - training._BETA1 ** t
+        c2 = 1.0 - training._BETA2 ** t
+        grads = flat_views(grad, self.params)
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= training._BETA1
+            m += (1.0 - training._BETA1) * g
+            v *= training._BETA2
+            v += (1.0 - training._BETA2) * (g * g)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + training._EPS)
+
+
+def use_reference_optimizer(monkeypatch):
+    """Route every driver's clip and Adam step through the per-array loops
+    above."""
+    monkeypatch.setattr(training, "clip_gradients", clip_gradients)
+    monkeypatch.setattr(training, "AdamState", AdamState)

@@ -274,6 +274,7 @@ def lmc_samples(mixture_base, mixture_observation):
     return mixture_base.forward(np.concatenate([c.states for c in chains]))[0]
 
 
+@pytest.mark.slow
 class TestCriterion4:
     # The causes in these messages were measured on this fixture (base
     # nll/dim 1.449); DECISIONS.md has the numbers and the scripts.
@@ -322,6 +323,7 @@ class TestCriterion4:
 # 5. MMSE dominance
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 class TestCriterion5:
     def test_mmse_dominance(self, blob_base):
         t0 = time.time()
@@ -354,6 +356,7 @@ class TestCriterion5:
 # 6. sigma sweep
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 class TestCriterion6:
     def test_sigma_sweep(self, mixture_base, mixture_observation):
         t0 = time.time()
@@ -388,6 +391,7 @@ def obs_residual(samples, obs):
 # 7. amortization
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 class TestCriterion7:
     def test_amortization(self, mixture_base):
         t0 = time.time()

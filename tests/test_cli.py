@@ -7,6 +7,7 @@ keys the code reads, and so do its examples."""
 import configparser
 import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,16 @@ seed = bogus
         cfg = infer_config(tmp_path, trained_base)
         assert main(["infer", "--config", cfg,
                      "--set", f"observe.index={index}"]) == 2
+        assert "config error: observe.index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", [100, 1_000_000])
+    def test_observe_index_past_data_n_is_exit_2(self, tmp_path, trained_base,
+                                                 index, capsys):
+        cfg = infer_config(tmp_path, trained_base)      # [data] n = 100
+        start = time.perf_counter()
+        assert main(["infer", "--config", cfg,
+                     "--set", f"observe.index={index}"]) == 2
+        assert time.perf_counter() - start < 1.0
         assert "config error: observe.index" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [0, -5])

@@ -10,8 +10,9 @@ import pytest
 
 from flowcond import diffengine as de
 from flowcond.flows import (ComposedSampler, CouplingLayer, DiagonalAffine,
-                            FlowModel, Mlp, ParamBinder, SingularScale,
-                            gaussian_logpdf, gaussian_logpdf_node, make_flow)
+                            FlowError, FlowModel, Mlp, ParamBinder,
+                            SingularScale, gaussian_logpdf,
+                            gaussian_logpdf_node, make_flow)
 from flowcond.training import default_pre_generator
 
 
@@ -278,3 +279,39 @@ class TestGraphConsistency:
         g = de.Graph()
         node = gaussian_logpdf_node(g.constant(x))
         np.testing.assert_array_equal(node.value, gaussian_logpdf(x))
+
+
+def reads_vector(model):
+    """Whether every state array of ``model`` is a view of its vector, the
+    arrays tiling it in order."""
+    arrays = model.state_arrays()
+    return (all(a.base is model.vector for a in arrays)
+            and np.array_equal(np.concatenate([a.ravel() for a in arrays]),
+                               model.vector))
+
+
+class TestParameterVector:
+    def test_layers_read_the_model_vector(self):
+        flow = perturbed_flow(3, "affine", seed=35, context_width=2)
+        assert reads_vector(flow)
+        assert flow.vector.size == sum(p.size for p in flow.parameters())
+        flow.vector[:] = 0.0          # zero conditioners: the identity map
+        z = np.random.default_rng(36).standard_normal((5, 3))
+        np.testing.assert_array_equal(flow.forward(z, np.ones(2))[0], z)
+
+    def test_model_built_from_other_layers_reads_its_own_vector(self):
+        flow = perturbed_flow(3, "affine", seed=37)
+        head = DiagonalAffine([0.5, 2.0, 1.5], [0.1, -0.2, 0.0])
+        values = [a.copy() for a in head.state_arrays() + flow.state_arrays()]
+        stacked = FlowModel(3, [head] + flow.layers)
+        assert reads_vector(stacked)
+        np.testing.assert_array_equal(
+            stacked.vector, np.concatenate([a.ravel() for a in values]))
+        assert head.logdet == pytest.approx(math.log(1.5))
+        with pytest.raises(FlowError, match="another model's vector"):
+            flow.vector
+
+    def test_vector_of_wrong_size_rejected(self):
+        layers = perturbed_flow(2, "affine", seed=38).layers
+        with pytest.raises(FlowError, match="must hold"):
+            FlowModel(2, layers, vector=np.zeros(3))

@@ -2,7 +2,7 @@
 per-op reference path in ``tests/flow_reference.py``: adjoints against
 central differences, values and adjoints bit for bit against the
 reference, and every driver's trace rows, parameters and outputs unchanged
-when the reference is swapped in."""
+when the reference tape path, or the per-array optimizer, is swapped in."""
 
 import copy
 
@@ -212,13 +212,23 @@ def assert_same(a, b, where):
         np.testing.assert_array_equal(a, b, err_msg=where)
 
 
-@pytest.mark.parametrize("base_kind", KINDS)
-def test_drivers_match_reference(base_kind, monkeypatch):
+def assert_drivers_match(base_kind, swap, monkeypatch):
     with monkeypatch.context() as m:
         fused = run_drivers(m, base_kind)
     with monkeypatch.context() as m:
-        ref.use_reference(m)
+        swap(m)
         reference = run_drivers(m, base_kind)
     assert fused.keys() == reference.keys()
     for key in fused:
         assert_same(fused[key], reference[key], key)
+
+
+@pytest.mark.parametrize("base_kind", KINDS)
+def test_drivers_match_reference(base_kind, monkeypatch):
+    assert_drivers_match(base_kind, ref.use_reference, monkeypatch)
+
+
+@pytest.mark.parametrize("base_kind", KINDS)
+def test_drivers_match_reference_optimizer(base_kind, monkeypatch):
+    # the fits clip: their grad norms reach the thousands against the bound 100
+    assert_drivers_match(base_kind, ref.use_reference_optimizer, monkeypatch)

@@ -11,7 +11,8 @@ import zlib
 import numpy as np
 import pytest
 
-from flowcond.flows import DiagonalAffine, FlowModel
+from flowcond.flows import (CouplingLayer, DiagonalAffine, FlowModel,
+                            Permutation)
 from flowcond.persist import (ChecksumMismatch, ConfigError, Dataset,
                               KindMismatch, LockError, PersistError,
                               TruncatedFile, VersionMismatch, load_array,
@@ -19,7 +20,7 @@ from flowcond.persist import (ChecksumMismatch, ConfigError, Dataset,
                               load_run_config, make_blob_images, output_lock,
                               save_array, save_checkpoint, save_image_dataset,
                               synth_dataset, write_manifest)
-from tests.test_flows import perturbed_flow
+from tests.test_flows import perturbed_flow, reads_vector
 
 
 class TestCheckpoint:
@@ -52,6 +53,26 @@ class TestCheckpoint:
         ctx = np.random.default_rng(6).standard_normal(8)
         np.testing.assert_array_equal(loaded.forward(z, context=ctx)[0],
                                       model.forward(z, context=ctx)[0])
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(perturbed_flow(4, "affine", seed=5, context_width=8),
+                        path, "conditional")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        load_checkpoint(path, "conditional")
+
+    def test_loaded_arrays_are_views_of_one_vector(self, tmp_path):
+        model = FlowModel(3, [DiagonalAffine([0.5, 2.0, 1.5])]
+                          + perturbed_flow(3, "additive", seed=6).layers)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path, "base")
+        loaded = load_checkpoint(path, "base")
+        assert reads_vector(loaded)
+        np.testing.assert_array_equal(loaded.vector, model.vector)
 
     def test_corrupted_blob_byte_detected(self, tmp_path):
         model = perturbed_flow(3, "affine", seed=7)
@@ -249,6 +270,65 @@ class TestBinaryFrame:
             + struct.pack("<I", 1) + struct.pack("<BI", 3, 2)
             + struct.pack("<Q", 4) + blob + struct.pack("<I", zlib.crc32(blob)))
         with pytest.raises(PersistError, match="diagonal scale"):
+            load_checkpoint(tmp_path / "m.ckpt")
+
+
+def framed_checkpoint(model, kind_code):
+    """``model``'s checkpoint, framed here from the format's description:
+    magic | version | head | blob of its layers' state arrays in
+    descriptor order | crc32 of the blob."""
+    def ints(values):
+        return np.asarray(values, dtype="<u4").tobytes()
+
+    head = struct.pack("<BIII", kind_code, model.dim, model.context_width,
+                       len(model.layers))
+    arrays = []
+    for layer in model.layers:
+        if isinstance(layer, Permutation):
+            head += struct.pack("<BI", 0, len(layer.perm)) + ints(layer.perm)
+        elif isinstance(layer, CouplingLayer):
+            widths = layer.conditioner.widths
+            head += (struct.pack("<BI", 1 if layer.kind == "additive" else 2,
+                                 len(layer.idx_cond)) + ints(layer.idx_cond)
+                     + struct.pack("<I", len(layer.idx_out)) + ints(layer.idx_out)
+                     + struct.pack("<II", layer.context_width, len(widths))
+                     + ints(widths))
+        else:
+            head += struct.pack("<BI", 3, len(layer.scale))
+        arrays += layer.state_arrays()
+    blob = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+    head += struct.pack("<Q", len(blob) // 8)
+    return (b"FLWC" + struct.pack("<I", 1) + head + blob
+            + struct.pack("<I", zlib.crc32(blob)))
+
+
+class TestCheckpointBytes:
+    """A file framed independently of the writer, with coupling,
+    permutation and diagonal layers."""
+
+    def model(self):
+        flow = perturbed_flow(3, "affine", seed=32, num_layers=2,
+                              hidden_width=8, context_width=2)
+        return FlowModel(3, [DiagonalAffine([0.5, 2.0, 1.5], [0.1, -0.2, 0.0])]
+                         + flow.layers + [DiagonalAffine([1.5, 0.75, 1.0])], 2)
+
+    def test_loads_and_saves_back_the_same_bytes(self, tmp_path):
+        model = self.model()
+        raw = framed_checkpoint(model, 2)
+        (tmp_path / "m.ckpt").write_bytes(raw)
+        loaded = load_checkpoint(tmp_path / "m.ckpt", "conditional")
+        assert len(loaded.state_arrays()) == len(model.state_arrays())
+        for a, b in zip(loaded.state_arrays(), model.state_arrays()):
+            np.testing.assert_array_equal(a, b)
+        save_checkpoint(loaded, tmp_path / "again.ckpt", "conditional")
+        assert (tmp_path / "again.ckpt").read_bytes() == raw
+
+    @pytest.mark.parametrize("corruption", ["truncated", "flipped-payload-byte",
+                                            "bytes-after-checksum"])
+    def test_corruption_rejected(self, tmp_path, corruption):
+        edit, error, message = CORRUPTIONS[corruption]
+        (tmp_path / "m.ckpt").write_bytes(edit(framed_checkpoint(self.model(), 2)))
+        with pytest.raises(error, match=message):
             load_checkpoint(tmp_path / "m.ckpt")
 
 

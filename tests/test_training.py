@@ -2,6 +2,7 @@
 identity-start contracts, MLE against the Gaussian entropy rate, and the
 amortization machinery."""
 
+import copy
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from flowcond.training import (AdamState, TrainConfig, TrainingDiverged,
                                TrainingError, TrainTrace, clip_gradients,
                                observation_context, stream_rng,
                                train_amortized, train_base_mle, train_svi)
-from tests.test_flows import perturbed_flow
+from tests.test_flows import perturbed_flow, reads_vector
 
 
 def params_snapshot(model):
@@ -44,13 +45,13 @@ class TestAdam:
         state = AdamState([p], learning_rate=0.1)
         before = p.copy()
         for _ in range(3):
-            state.update([p], [np.zeros_like(p)])
+            state.update(p.reshape(-1), np.zeros(6))
         np.testing.assert_array_equal(p, before)
 
     def test_first_step_is_signed_lr(self):
         p = np.zeros(3)
         state = AdamState([p], learning_rate=0.01)
-        state.update([p], [np.array([5.0, -2.0, 0.0])])
+        state.update(p, np.array([5.0, -2.0, 0.0]))
         np.testing.assert_allclose(p[:2], [-0.01, 0.01], rtol=1e-6)
         assert p[2] == 0.0
 
@@ -58,25 +59,25 @@ class TestAdam:
         # beta1 = 0.9, beta2 = 0.999, eps = 1e-8, read off the first step
         p, g = np.zeros(1), np.array([2.0])
         state = AdamState([p], learning_rate=1e-3)
-        state.update([p], [g])
+        state.update(p, g)
         m, v = (1.0 - 0.9) * g, (1.0 - 0.999) * (g * g)
-        np.testing.assert_array_equal(state.m[0], m)
-        np.testing.assert_array_equal(state.v[0], v)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
         np.testing.assert_array_equal(
             p, -1e-3 * (m / (1.0 - 0.9)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-8))
 
 
 class TestClip:
     def test_scales_to_max_norm(self):
-        grads = [np.array([3.0, 4.0])]
-        norm = clip_gradients(grads, 1.0)
+        grad = np.array([3.0, 4.0])
+        norm = clip_gradients(grad, [grad], 1.0)
         assert norm == pytest.approx(5.0)
-        np.testing.assert_allclose(grads[0], [0.6, 0.8])
+        np.testing.assert_allclose(grad, [0.6, 0.8])
 
     def test_none_disables(self):
-        grads = [np.array([30.0, 40.0])]
-        assert clip_gradients(grads, None) == pytest.approx(50.0)
-        np.testing.assert_array_equal(grads[0], [30.0, 40.0])
+        grad = np.array([30.0, 40.0])
+        assert clip_gradients(grad, [grad], None) == pytest.approx(50.0)
+        np.testing.assert_array_equal(grad, [30.0, 40.0])
 
 
 class TestTrainConfig:
@@ -193,6 +194,19 @@ class TestTrainBaseMle:
         before = params_snapshot(flow)
         train_base_mle(flow, np.zeros((10, 2)), TrainConfig(num_steps=0))
         assert params_equal(before, params_snapshot(flow))
+
+    def test_deepcopy_trains_its_own_vector(self):
+        base = perturbed_flow(3, "affine", seed=18, num_layers=3, hidden_width=8)
+        before = params_snapshot(base)
+        twin = copy.deepcopy(base)
+        assert reads_vector(twin)
+        data = np.random.default_rng(19).standard_normal((200, 3))
+        cfg = TrainConfig(learning_rate=5e-3, num_steps=4, batch_size=16, seed=20)
+        train_base_mle(twin, data, cfg)
+        assert params_equal(before, params_snapshot(base))
+        assert not params_equal(before, params_snapshot(twin))
+        train_base_mle(base, data, cfg)
+        assert params_equal(params_snapshot(base), params_snapshot(twin))
 
     def test_dataset_shape_validation(self):
         flow = make_flow(2, rng=np.random.default_rng(17))
