@@ -359,30 +359,36 @@ def cmd_sigma_sweep(cfg: RunConfig, out: Path) -> str:
     return f"sigma-sweep: residuals {{{pairs}}}{plateau} -> {out / 'sweep.csv'}"
 
 
+# the [sat] key of each conditional_sat_demo argument a GadgetError names
+_SAT_KEYS = {"formula": "sat.cnf_path", "eps": "sat.eps",
+             "big_m": "sat.m_scale", "tau": "sat.tau"}
+
+
 def cmd_sat_demo(cfg: RunConfig, out: Path) -> str:
-    if cfg.has("sat", "cnf_path"):
-        formula = satgadget.load_dimacs(cfg.get("sat", "cnf_path"))
-    else:
-        text = resources.files("flowcond").joinpath("data/example5.cnf").read_text()
-        formula = satgadget.parse_dimacs(text)
-    eps = cfg.getfloat("sat", "eps", 0.25)
-    tau = cfg.getfloat("sat", "tau", 0.5)
     budget = cfg.getint("sat", "budget", 100_000)
-    big_m = cfg.getfloat("sat", "m_scale") if cfg.has("sat", "m_scale") else None
-    report = satgadget.conditional_sat_demo(
-        formula, eps=eps, big_m=big_m, tau=tau, sampler_budget=budget,
-        rng=stream_rng(cfg.seed, "sat-demo"))
-    gadget = satgadget.compile_gadget(formula, eps, report.big_m)
-    corners = satgadget.all_corners(formula.num_vars)
-    values = gadget.eval(corners)
-    truth = formula.satisfies(corners)
-    exact = bool(np.all(np.abs(values - np.where(truth, report.big_m, 0.0)) < 1e-9))
-    (out / "report.txt").write_text(
-        report.to_text() + f"corner_check_exact={str(exact).lower()}\n",
-        encoding="ascii")
+    if budget < 1:
+        raise ConfigError("sat.budget", "must be >= 1")
+    try:
+        if cfg.has("sat", "cnf_path"):
+            formula = satgadget.load_dimacs(cfg.get("sat", "cnf_path"))
+        else:
+            text = resources.files("flowcond").joinpath("data/example5.cnf").read_text()
+            formula = satgadget.parse_dimacs(text)
+        report = satgadget.conditional_sat_demo(
+            formula, eps=cfg.getfloat("sat", "eps", 0.25),
+            big_m=cfg.getfloat("sat", "m_scale") if cfg.has("sat", "m_scale")
+            else None,
+            tau=cfg.getfloat("sat", "tau", 0.5), sampler_budget=budget,
+            rng=stream_rng(cfg.seed, "sat-demo"))
+    except satgadget.GadgetError as e:
+        if e.field is None:
+            raise
+        raise ConfigError(_SAT_KEYS[e.field], str(e)) from e
+    (out / "report.txt").write_text(report.to_text(), encoding="ascii")
+    exact = str(report.corner_check_exact).lower()
     return (f"sat-demo: d={formula.num_vars} m={formula.num_clauses} "
             f"status={report.status} success_fraction={report.success_fraction:.4f} "
-            f"corner_check_exact={str(exact).lower()} -> {out / 'report.txt'}")
+            f"corner_check_exact={exact} -> {out / 'report.txt'}")
 
 
 COMMANDS = {

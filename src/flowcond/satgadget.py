@@ -25,18 +25,41 @@ clause sees at most 1/3 and gives 0.  Summed over the m clauses the head is
 so f >= M/2 exactly when w <= eps^2/(2m), with equality at the box
 corners.  At w = 1/(2m) the deficit is m w / eps^2 = 1/(2 eps^2) = 8 for
 eps = 1/4, so f is 0 there.  DECISIONS.md records the measurement.
+
+At most one neuron of a clause is nonzero, for any eps < 1/3.  A neuron
+with sign pattern p is nonzero only if p.t > 3(1 - eps) > 2.  Two distinct
+patterns differ in some coordinate i, where p_i t_i + q_i t_i = 0, so
+p.t + q.t <= 4 < 6(1 - eps) and not both can be nonzero.  Since every
+|t_i| <= 1, the live neuron has p_i t_i > 1 - 3 eps > 0 on all three
+coordinates, so p = sign(t): the clause score is bump((|t_a| + |t_b| +
+|t_c|)/3) when sign(t) satisfies the clause and 0 otherwise, never above
+1.  The head is then nonzero only where every clause score is, which needs
+|t| > 1 - 3 eps, that is ||x| - 1| < 3 eps^2, on every variable that occurs
+in a clause.  SatGadget.eval computes only those rows, one score per
+clause.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
 class GadgetError(ValueError):
-    pass
+    """A formula or gadget setting that cannot be used; ``field`` names the
+    argument at fault (``formula``, ``eps``, ``big_m`` or ``tau``), when one
+    is."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+# the demo enumerates all 2^d corners of its formula
+DEMO_MAX_VARS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -54,32 +77,37 @@ class CnfFormula:
     def __post_init__(self):
         for clause in self.clauses:
             if len(clause) != 3:
-                raise GadgetError("every clause needs exactly 3 literals")
+                raise GadgetError("every clause needs exactly 3 literals",
+                                  "formula")
             seen = {}
             for var, pol in clause:
                 if not 0 <= var < self.num_vars:
-                    raise GadgetError(f"variable {var} out of range")
+                    raise GadgetError(f"variable {var} out of range", "formula")
                 if pol not in (1, -1):
-                    raise GadgetError(f"polarity must be +-1, got {pol}")
+                    raise GadgetError(f"polarity must be +-1, got {pol}",
+                                      "formula")
                 if seen.get(var, pol) != pol:
                     raise GadgetError(
-                        f"clause contains a literal and its negation (var {var})")
+                        f"clause contains a literal and its negation (var {var})",
+                        "formula")
                 seen[var] = pol
 
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
 
+    @cached_property
+    def literal_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, 3) variable indices and the (m, 3) polarities (+-1.0) of
+        the clauses' literals."""
+        table = np.asarray(self.clauses, dtype=np.intp).reshape(-1, 3, 2)
+        return table[:, :, 0], table[:, :, 1].astype(np.float64)
+
     def satisfies(self, assignments) -> np.ndarray:
         """Truth value at each row of +-1 assignments."""
+        vars_, pols = self.literal_table
         a = np.asarray(assignments)
-        ok = np.ones(len(a), dtype=bool)
-        for clause in self.clauses:
-            hit = np.zeros(len(a), dtype=bool)
-            for var, pol in clause:
-                hit |= a[:, var] == pol
-            ok &= hit
-        return ok
+        return np.all(np.any(a[:, vars_] == pols, axis=2), axis=1)
 
     def satisfying_corners(self) -> np.ndarray:
         """All satisfying +-1 corners, by brute force (d <= 20 guard)."""
@@ -96,6 +124,14 @@ def all_corners(d: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.float64)
 
 
+def _dimacs_ints(tokens, line: str) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise GadgetError(f"non-integer token in line {line!r}",
+                          "formula") from None
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     num_vars = 0
     clauses = []
@@ -106,10 +142,10 @@ def parse_dimacs(text: str) -> CnfFormula:
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise GadgetError(f"bad problem line: {line!r}")
-            num_vars = int(parts[2])
+                raise GadgetError(f"bad problem line: {line!r}", "formula")
+            num_vars = _dimacs_ints(parts[2:], line)[0]
             continue
-        lits = [int(tok) for tok in line.split()]
+        lits = _dimacs_ints(line.split(), line)
         if lits and lits[-1] == 0:
             lits = lits[:-1]
         if not lits:
@@ -165,10 +201,11 @@ class SatGadget:
     Per clause, one neuron per satisfying local sign pattern (7 of the 8
     patterns of a 3-literal clause): scale the three reshaped variables by
     pattern/3, sum, bump.  Clause scores c_j sum the clause's neurons; the
-    head is M * relu(min(sum_j c_j, m) - (m - 1)).  The inner clamp only
-    matters off-corner, where overlapping bumps could push a clause score
-    above 1; it keeps the output in [0, M] globally and changes nothing at
-    corners.
+    head is M * relu(min(sum_j c_j, m) - (m - 1)).  By the lemma in the
+    module docstring a clause has at most one live neuron, so ``eval``
+    computes that one and only on rows where the head can be nonzero; the
+    clamp at m only absorbs rounding.  The lemma needs eps < 1/3, which
+    :func:`compile_gadget` checks.
 
     Guarantee: the output is M at each satisfying corner, 0 at each
     falsifying one, and >= M/2 on the box of half-width eps^2/(2m) around
@@ -179,8 +216,6 @@ class SatGadget:
     formula: CnfFormula
     eps: float
     big_m: float
-    clause_vars: list[np.ndarray]
-    clause_patterns: list[np.ndarray]
 
     def eval(self, x):
         arr = np.asarray(x, dtype=np.float64)
@@ -189,37 +224,35 @@ class SatGadget:
             arr = arr[None, :]
         if arr.shape[1] != self.formula.num_vars:
             raise GadgetError(f"input width {arr.shape[1]} != {self.formula.num_vars}")
-        xt = transformed_var(arr, self.eps)
-        m = self.formula.num_clauses
-        total = np.zeros(arr.shape[0])
-        for vars_, patterns in zip(self.clause_vars, self.clause_patterns):
-            pre = xt[:, vars_] @ (patterns.T / 3.0)
-            total += delta_eps(pre, self.eps).sum(axis=1)
-        out = self.big_m * np.maximum(np.minimum(total, m) - (m - 1.0), 0.0)
+        eps, m = self.eps, self.formula.num_clauses
+        vars_, pols = self.formula.literal_table
+        zone = np.abs(np.abs(arr[:, np.unique(vars_)]) - 1.0) < 3.0 * eps * eps
+        live = np.flatnonzero(np.all(zone, axis=1))
+        t = transformed_var(arr[live], eps)[:, vars_]          # (live, m, 3)
+        satisfied = np.any(t * pols > 0.0, axis=2)
+        score = np.where(satisfied, delta_eps(np.abs(t).sum(axis=2) / 3.0, eps),
+                         0.0)
+        out = np.zeros(arr.shape[0])
+        out[live] = self.big_m * np.maximum(
+            np.minimum(score.sum(axis=1), m) - (m - 1.0), 0.0)
         return float(out[0]) if single else out
 
 
-def compile_gadget(formula: CnfFormula, eps: float, big_m: float) -> SatGadget:
+def compile_gadget(formula: CnfFormula, eps: float,
+                   big_m: float | None = None) -> SatGadget:
+    """The gadget of ``formula``; ``big_m`` defaults to
+    :func:`default_output_scale`."""
     if not 0.0 < eps < 1.0 / 3.0:
-        raise GadgetError(f"eps must lie in (0, 1/3), got {eps}")
-    if not big_m > 0.0:
-        raise GadgetError("M must be positive")
-    clause_vars, clause_patterns = [], []
-    for clause in formula.clauses:
-        vars_ = np.asarray([var for var, _ in clause], dtype=np.intp)
-        if len(set(vars_.tolist())) != 3:
-            raise GadgetError("clause repeats a variable; construction needs "
-                              "3 distinct variables per clause")
-        pols = np.asarray([pol for _, pol in clause], dtype=np.float64)
-        patterns = []
-        for bits in range(8):
-            signs = np.asarray([1.0 if bits >> k & 1 else -1.0 for k in range(3)])
-            if np.any(signs == pols):      # satisfies the clause locally
-                patterns.append(signs)
-        clause_vars.append(vars_)
-        clause_patterns.append(np.asarray(patterns))
-    return SatGadget(formula=formula, eps=eps, big_m=big_m,
-                     clause_vars=clause_vars, clause_patterns=clause_patterns)
+        raise GadgetError(f"eps must lie in (0, 1/3), got {eps}", "eps")
+    for k, clause in enumerate(formula.clauses):
+        if len({var for var, _ in clause}) != 3:
+            raise GadgetError(f"clause {k + 1} repeats a variable; construction "
+                              "needs 3 distinct variables per clause", "formula")
+    if big_m is None:
+        big_m = default_output_scale(formula)
+    if not 0.0 < big_m < math.inf:
+        raise GadgetError(f"M must be a finite number > 0, got {big_m}", "big_m")
+    return SatGadget(formula=formula, eps=eps, big_m=big_m)
 
 
 def decode_assignment(x, eps: float):
@@ -274,7 +307,8 @@ class GadgetFlow:
 def default_output_scale(formula: CnfFormula) -> float:
     """Concrete choice M = 4 sqrt(d ln m) for the conditioning demo."""
     if formula.num_clauses < 2:
-        raise GadgetError("default M needs >= 2 clauses; pass M explicitly")
+        raise GadgetError("default M needs >= 2 clauses; pass M explicitly",
+                          "big_m")
     return 4.0 * math.sqrt(formula.num_vars * math.log(formula.num_clauses))
 
 
@@ -295,6 +329,7 @@ class DemoReport:
     tau: float
     eps: float
     budget: int
+    corner_check_exact: bool         # net = M * truth at every corner
 
     def to_text(self) -> str:
         lines = [
@@ -317,7 +352,18 @@ class DemoReport:
         lines.append(f"n_sat_corners={self.n_sat_corners}")
         lines.append(f"M={self.big_m!r}")
         lines.append(f"tau={self.tau!r}")
+        lines.append(f"corner_check_exact={str(self.corner_check_exact).lower()}")
         return "\n".join(lines) + "\n"
+
+
+def _corner_check(gadget: SatGadget, sat_corners: np.ndarray) -> bool:
+    """Whether the gadget is M at the satisfying corners and 0 at every
+    other corner of {-1, 1}^d, within 1e-9.  Row i of ``all_corners``
+    encodes the bits of i, so each satisfying corner's bits give its row."""
+    d = gadget.formula.num_vars
+    expected = np.zeros(2 ** d)
+    expected[(sat_corners > 0.0) @ (1 << np.arange(d))] = gadget.big_m
+    return bool(np.all(np.abs(gadget.eval(all_corners(d)) - expected) < 1e-9))
 
 
 def conditional_sat_demo(formula: CnfFormula, eps: float = 0.25,
@@ -336,24 +382,29 @@ def conditional_sat_demo(formula: CnfFormula, eps: float = 0.25,
     prior and the acceptance rate reduces to the plain Gaussian tail mass.
 
     Satisfiability is reported, not required, so the vacuous case can be
-    demonstrated.  Needs d <= 12 for the corner enumeration.
+    demonstrated.  The report also says whether the gadget matches the
+    formula at every corner.  Needs d <= 12 for the corner enumeration.
     """
     d = formula.num_vars
-    if d > 12:
-        raise GadgetError("demo caps at 12 variables (corner enumeration)")
-    if big_m is None:
-        big_m = default_output_scale(formula)
+    if d > DEMO_MAX_VARS:
+        raise GadgetError(f"demo caps at {DEMO_MAX_VARS} variables (corner "
+                          f"enumeration), got {d}", "formula")
+    if not 0.0 < tau < math.inf:
+        raise GadgetError(f"tau must be a finite number > 0, got {tau}", "tau")
     gadget = compile_gadget(formula, eps, big_m)
+    big_m = gadget.big_m
     sat_corners = formula.satisfying_corners()
     n_sat = len(sat_corners)
+    exact = _corner_check(gadget, sat_corners)
     if rng is None:
         rng = np.random.default_rng(0)
     budget = int(sampler_budget)
+    inconclusive = DemoReport(
+        status="inconclusive", accept_rate=0.0, success_fraction=float("nan"),
+        n_window_draws=0, n_sat_corners=n_sat, big_m=big_m, tau=tau, eps=eps,
+        budget=budget, corner_check_exact=exact)
     if budget <= 0:
-        return DemoReport(status="inconclusive", accept_rate=0.0,
-                          success_fraction=float("nan"), n_window_draws=0,
-                          n_sat_corners=n_sat, big_m=big_m, tau=tau, eps=eps,
-                          budget=budget)
+        return inconclusive
 
     m = formula.num_clauses
     # two box scales around satisfying corners: the inner one covers the
@@ -376,38 +427,42 @@ def conditional_sat_demo(formula: CnfFormula, eps: float = 0.25,
 
     # importance weights: prior density over the stratified mixture
     log_prior = -0.5 * np.sum(x * x, axis=1) - 0.5 * d * math.log(2.0 * math.pi)
-    mix = (n_prior / budget) * np.exp(log_prior)
+    prior = np.exp(log_prior)
+    mix = (n_prior / budget) * prior
     candidate = np.where(x > 0.0, 1.0, -1.0)
+    dist = np.max(np.abs(x - candidate), axis=1)
+    # draws within eps of their sign corner where that corner satisfies the
+    # formula: only these can lie in a box of the proposal
+    sat_here = np.zeros(budget, dtype=bool)
     if n_sat:
-        dist = np.max(np.abs(x - candidate), axis=1)
-        sat_here = np.zeros(budget, dtype=bool)
         near = dist <= w_outer
         sat_here[near] = formula.satisfies(candidate[near])
         for frac, width in ((n_inner / budget, w_inner),
                             (n_outer / budget, w_outer)):
             density = 1.0 / (n_sat * (2.0 * width) ** d)
             mix = mix + np.where(sat_here & (dist <= width), frac * density, 0.0)
-    weights = np.exp(log_prior) / mix
+    weights = prior / mix
 
+    # where the net is 0 the window is one number; the tails run elsewhere
     net = gadget.eval(x)
-    window = _std_normal_tail(big_m - tau - net) - _std_normal_tail(big_m + tau - net)
+    live = net != 0.0
+    window = np.full(budget, float(_std_normal_tail(big_m - tau)
+                                   - _std_normal_tail(big_m + tau)))
+    window[live] = (_std_normal_tail(big_m - tau - net[live])
+                    - _std_normal_tail(big_m + tau - net[live]))
     mass = weights * window
-
-    good = np.all(np.abs(x - candidate) < eps, axis=1)
-    good[good] = formula.satisfies(candidate[good])
+    good = sat_here & (dist < eps)
 
     denom = float(mass.mean())
     n_window = int(np.count_nonzero(mass))
     if denom <= 0.0 or n_window == 0:
-        return DemoReport(status="inconclusive", accept_rate=0.0,
-                          success_fraction=float("nan"), n_window_draws=0,
-                          n_sat_corners=n_sat, big_m=big_m, tau=tau, eps=eps,
-                          budget=budget)
+        return inconclusive
     numer = float(mass[good].sum()) / budget
     return DemoReport(status="ok", accept_rate=denom,
                       success_fraction=numer / denom,
                       n_window_draws=n_window, n_sat_corners=n_sat,
-                      big_m=big_m, tau=tau, eps=eps, budget=budget)
+                      big_m=big_m, tau=tau, eps=eps, budget=budget,
+                      corner_check_exact=exact)
 
 
 def random_satisfiable_formula(d: int, m: int, rng: np.random.Generator) -> CnfFormula:

@@ -8,7 +8,9 @@ the plain-numpy passes to these, bit for bit, and :func:`use_reference`
 swaps them in for whole-driver comparisons.  :func:`clip_gradients` and
 :class:`AdamState` loop over the parameter arrays one at a time, as the
 optimizer did before it stepped one flat vector;
-:func:`use_reference_optimizer` swaps them in.
+:func:`use_reference_optimizer` swaps them in.  :func:`gadget_neurons` and
+:func:`dense_gadget_eval` evaluate the 3-SAT gadget as the dense network it
+is defined as: all seven pattern neurons of every clause, on every row.
 """
 
 import math
@@ -19,6 +21,7 @@ from flowcond import diffengine as de
 from flowcond import training
 from flowcond.flows import (SCALE_LIMIT, CouplingLayer, FlowError, Mlp,
                             flat_views)
+from flowcond.satgadget import delta_eps, transformed_var
 
 
 def _param(bind, graph, arr):
@@ -125,3 +128,32 @@ def use_reference_optimizer(monkeypatch):
     above."""
     monkeypatch.setattr(training, "clip_gradients", clip_gradients)
     monkeypatch.setattr(training, "AdamState", AdamState)
+
+
+def gadget_neurons(gadget, x):
+    """The (n, m, 7) pattern-neuron outputs of every clause: per clause, one
+    neuron per sign pattern that satisfies the clause locally, scaling the
+    three reshaped variables by pattern/3, summing and bumping."""
+    xt = transformed_var(np.asarray(x, dtype=np.float64), gadget.eps)
+    out = []
+    for clause in gadget.formula.clauses:
+        vars_ = np.asarray([var for var, _ in clause], dtype=np.intp)
+        pols = np.asarray([pol for _, pol in clause], dtype=np.float64)
+        patterns = []
+        for bits in range(8):
+            signs = np.asarray([1.0 if bits >> k & 1 else -1.0 for k in range(3)])
+            if np.any(signs == pols):
+                patterns.append(signs)
+        pre = xt[:, vars_] @ (np.asarray(patterns).T / 3.0)
+        out.append(delta_eps(pre, gadget.eps))
+    return np.stack(out, axis=1)
+
+
+def dense_gadget_eval(gadget, x):
+    """M * relu(min(sum of clause scores, m) - (m - 1)), the clause scores
+    summing all seven neurons of each clause."""
+    m = gadget.formula.num_clauses
+    total = np.zeros(len(x))
+    for neurons in gadget_neurons(gadget, x).transpose(1, 0, 2):
+        total += neurons.sum(axis=1)
+    return gadget.big_m * np.maximum(np.minimum(total, m) - (m - 1.0), 0.0)

@@ -378,6 +378,43 @@ budget = 20000
         assert "status=ok" in out
         assert "task=" not in (tmp_path / "sat" / "manifest.txt").read_text()
 
+    @pytest.mark.parametrize("cnf, setting, key, message", [
+        pytest.param("p cnf 3 2\n1 2 x 0\n-1 2 3 0\n", None, "cnf_path",
+                     "non-integer", id="non-integer-token"),
+        pytest.param("p cnf 3 2\n1 2 0\n-1 2 3 0\n", None, "cnf_path",
+                     "3 literals", id="two-literal-clause"),
+        pytest.param("p cnf 13 2\n1 2 13 0\n-1 2 3 0\n", None, "cnf_path",
+                     "12 variables", id="13-variables"),
+        pytest.param("p cnf 2 1\n1 1 2 0\n", None, "cnf_path",
+                     "repeats a variable", id="repeated-variable"),
+        pytest.param(None, "eps=0.34", "eps", "(0, 1/3)", id="eps-above"),
+        pytest.param(None, "eps=0", "eps", "(0, 1/3)", id="eps-zero"),
+        pytest.param(None, "m_scale=0", "m_scale", "> 0", id="m-scale-zero"),
+        pytest.param(None, "m_scale=-2", "m_scale", "> 0", id="m-scale-negative"),
+        pytest.param(None, "budget=-3", "budget", ">= 1", id="budget-negative"),
+        pytest.param(None, "tau=-1", "tau", "> 0", id="tau-negative"),
+    ])
+    def test_bad_sat_input_is_exit_2(self, tmp_path, capsys, cnf, setting,
+                                     key, message):
+        cfg = write_cfg(tmp_path / "sat.cfg", f"""
+[run]
+output_dir = {tmp_path / "sat"}
+
+[sat]
+budget = 500
+""")
+        argv = ["sat-demo", "--config", cfg]
+        if cnf is not None:
+            (tmp_path / "bad.cnf").write_text(cnf, encoding="ascii")
+            argv += ["--set", f"sat.cnf_path={tmp_path / 'bad.cnf'}"]
+        if setting is not None:
+            argv += ["--set", f"sat.{setting}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: sat.{key}" in err and message in err
+        assert not (tmp_path / "sat" / "report.txt").exists()
+        assert not (tmp_path / "sat" / "error-trace.txt").exists()
+
     def test_sigma_checked_for_every_command(self, tmp_path, capsys):
         # task = sat must not exempt a config from the sigma check
         cfg = write_cfg(tmp_path / "sat.cfg", f"""

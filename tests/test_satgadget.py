@@ -1,19 +1,21 @@
 """Gadget tests: the bump function's exact values, corner correctness
 against brute-force CNF evaluation, the wrapping flow, decoding, DIMACS,
-and the conditioning demo against independent oracles."""
+the sparse evaluation against the dense network, and the conditioning demo
+against independent oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from flowcond.satgadget import (CnfFormula, GadgetError,
-                                GadgetFlow, all_corners, compile_gadget,
+from flowcond.satgadget import (CnfFormula, GadgetError, GadgetFlow,
+                                SatGadget, all_corners, compile_gadget,
                                 conditional_sat_demo, decode_assignment,
                                 default_output_scale, delta_eps,
                                 load_dimacs, parse_dimacs,
                                 random_satisfiable_formula, save_dimacs,
                                 to_dimacs, transformed_var, _std_normal_tail)
+from tests.flow_reference import dense_gadget_eval, gadget_neurons
 
 SINGLE = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
 TWO = parse_dimacs("p cnf 3 2\n1 2 3 0\n-1 2 -3 0\n")
@@ -122,6 +124,63 @@ class TestCompileAndEval:
     def test_eval_gadget_function_form(self):
         g = compile_gadget(SINGLE, 0.25, 2.0)
         assert g.eval(np.ones(3)) == pytest.approx(2.0)
+
+
+def draw_sets(formula, eps, rng, n=3000):
+    """Corners, boxes around satisfying corners, the zone where every
+    coordinate is within 3 eps^2 of +-1, satisfying corners moved along one
+    coordinate across that zone, and a wide uniform box."""
+    d, m = formula.num_vars, formula.num_clauses
+    sat = formula.satisfying_corners()
+
+    def boxes(w):
+        return sat[rng.integers(0, len(sat), n)] + rng.uniform(-w, w, (n, d))
+
+    signs = rng.choice([-1.0, 1.0], size=(n, d))
+    zone = 3.0 * eps * eps
+    edge = sat[rng.integers(0, len(sat), n)]
+    edge[np.arange(n), rng.integers(0, d, n)] += rng.uniform(-zone, zone, n)
+    return {"corners": all_corners(d),
+            "inner_box": boxes(eps * eps / (2.0 * m)),
+            "outer_box": boxes(eps),
+            "bump_zone": signs * (1.0 + rng.uniform(-zone, zone, (n, d))),
+            "zone_edge": edge,
+            "wide": rng.uniform(-2.0, 2.0, (n, d))}
+
+
+class TestEvalAgainstDenseNetwork:
+    # x2..x5 occur in one clause each, so the head stays nonzero when one of
+    # them moves across the whole 3 eps^2 zone
+    FORMULAS = (TWO, random_satisfiable_formula(8, 14, np.random.default_rng(12)),
+                parse_dimacs("p cnf 5 2\n1 2 3 0\n-1 4 -5 0\n"))
+
+    @pytest.mark.parametrize("eps", [0.05, 0.25, 0.33])
+    @pytest.mark.parametrize("which", range(3))
+    def test_matches_dense_network(self, eps, which):
+        formula = self.FORMULAS[which]
+        gadget = compile_gadget(formula, eps, 6.5)
+        for name, x in draw_sets(formula, eps, np.random.default_rng(13)).items():
+            got, ref = gadget.eval(x), dense_gadget_eval(gadget, x)
+            err = float(np.max(np.abs(got - ref)))
+            assert err <= 1e-12 * gadget.big_m, (name, err)
+            if name in ("corners", "inner_box", "zone_edge"):
+                assert np.count_nonzero(ref) > 0, name
+
+    @pytest.mark.parametrize("eps", [0.05, 0.25, 0.33])
+    def test_one_live_neuron_per_clause(self, eps):
+        formula = self.FORMULAS[1]
+        gadget = compile_gadget(formula, eps, 6.5)
+        for name, x in draw_sets(formula, eps, np.random.default_rng(14)).items():
+            neurons = gadget_neurons(gadget, x)
+            assert np.max(np.count_nonzero(neurons, axis=2)) <= 1, name
+            assert np.max(neurons.sum(axis=2)) <= 1.0, name
+
+    def test_single_row_and_width_check(self):
+        g = compile_gadget(TWO, 0.25, 5.0)
+        x = np.array([1.0, 1.0, -1.0])
+        assert g.eval(x) == dense_gadget_eval(g, x[None, :])[0] == 5.0
+        with pytest.raises(GadgetError, match="width"):
+            g.eval(np.ones((2, 4)))
 
 
 class TestDecode:
@@ -271,12 +330,63 @@ class TestConditionalDemo:
         with pytest.raises(GadgetError, match="12"):
             conditional_sat_demo(formula)
 
+    # (formula, demo arguments, then the report at the dense-network
+    # commit: status, n_window_draws, n_sat_corners, M, tau, accept_rate,
+    # success_fraction)
+    PINNED = [
+        (TWO, dict(sampler_budget=20_000, rng=3),
+         ("ok", 20_000, 6, 5.768107546403532, 0.5,
+          1.4306720730666974e-06, 0.9525368249722249)),
+        ((8, 12, 7), dict(big_m=3.0, eps=0.2, sampler_budget=30_000, rng=1),
+         ("ok", 30_000, 64, 3.0, 0.5,
+          0.005977039193235418, 4.92968961269584e-07)),
+        ((10, 20, 11), dict(eps=0.1, tau=0.3, sampler_budget=30_000, rng=2),
+         ("ok", 30_000, 115, 21.893313220447894, 0.3,
+          8.873869188929224e-42, 1.0)),
+        ((12, 24, 5), dict(eps=0.3, sampler_budget=30_000, rng=4),
+         ("ok", 30_000, 145, 24.701950032878084, 0.5,
+          1.3192871200006796e-39, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(PINNED)))
+    def test_report_pinned(self, case):
+        formula, kwargs, expected = self.PINNED[case]
+        if isinstance(formula, tuple):
+            d, m, seed = formula
+            formula = random_satisfiable_formula(d, m, np.random.default_rng(seed))
+        kwargs = dict(kwargs, rng=np.random.default_rng(kwargs["rng"]))
+        r = conditional_sat_demo(formula, **kwargs)
+        assert (r.status, r.n_window_draws, r.n_sat_corners, r.big_m,
+                r.tau) == expected[:5]
+        assert r.corner_check_exact
+        np.testing.assert_allclose([r.accept_rate, r.success_fraction],
+                                   expected[5:], rtol=1e-9, atol=0.0)
+
+    def test_corner_check_sees_a_wrong_corner(self, monkeypatch):
+        original = SatGadget.eval
+
+        def one_corner_off(self, x):
+            out = np.array(original(self, x), dtype=np.float64)
+            out.flat[-1] += 1e-6
+            return out
+
+        monkeypatch.setattr(SatGadget, "eval", one_corner_off)
+        report = conditional_sat_demo(TWO, sampler_budget=0)
+        assert not report.corner_check_exact
+        assert "corner_check_exact=false" in report.to_text()
+
+    def test_bad_tau_rejected(self):
+        for tau in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(GadgetError, match="tau") as info:
+                conditional_sat_demo(TWO, tau=tau, sampler_budget=10)
+            assert info.value.field == "tau"
+
     def test_report_text_has_machine_keys(self):
         report = conditional_sat_demo(TWO, sampler_budget=5000,
                                       rng=np.random.default_rng(3))
         text = report.to_text()
         for key in ("status=", "accept_rate=", "success_fraction=",
-                    "n_sat_corners=", "M=", "tau="):
+                    "n_sat_corners=", "M=", "tau=", "corner_check_exact="):
             assert key in text
 
 
