@@ -229,18 +229,35 @@ def split(a: Node, sizes, axis: int = 0) -> list[Node]:
     return parts
 
 
-def take(a: Node, indices, axis: int = 0) -> Node:
-    """Select along ``axis`` by an index set; adjoint scatter-adds back."""
+def take(a: Node, indices, axis: int = 0, *, distinct: bool = False,
+         inverse=None) -> Node:
+    """Select along ``axis`` by an index set; the adjoint scatter-adds back.
+
+    A caller whose indices are distinct by construction says so, and
+    nothing is checked per call: with ``distinct`` the adjoint is an
+    assignment into zeros; with ``inverse``, the inverse of a permutation
+    ``indices`` of the axis, it is the gather by that inverse.  Either has
+    the bits of the scatter-add, ``0.0 + g`` (which turns -0.0 into 0.0).
+    """
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeMismatch("take", idx.shape, ("1-d index set",))
     out = np.take(a.value, idx, axis=axis)
+    shape = a.value.shape
 
-    def vjp(g, a=a, idx=idx, axis=axis):
-        z = np.zeros(a.value.shape)
-        sl = [slice(None)] * a.value.ndim
+    def vjp(g):
+        if inverse is not None:
+            z = np.take(g, inverse, axis=axis)
+            z += 0.0
+            return (z,)
+        z = np.zeros(shape)
+        sl = [slice(None)] * len(shape)
         sl[axis] = idx
-        np.add.at(z, tuple(sl), g)
+        if distinct:
+            z[tuple(sl)] = g
+            z += 0.0
+        else:
+            np.add.at(z, tuple(sl), g)
         return (z,)
 
     return Node(a.graph, out, (a,), vjp)

@@ -198,6 +198,8 @@ class Permutation:
 
     def __init__(self, perm):
         self.perm = np.asarray(perm, dtype=np.intp)
+        if sorted(self.perm.tolist()) != list(range(len(self.perm))):
+            raise FlowError("permutation must reorder 0..d-1")
         self.inv = np.argsort(self.perm)
 
     def parameters(self):
@@ -216,10 +218,10 @@ class Permutation:
         return y[:, self.inv], None
 
     def forward_node(self, bind, x, context=None):
-        return de.take(x, self.perm, axis=1), None
+        return de.take(x, self.perm, axis=1, inverse=self.inv), None
 
     def inverse_node(self, bind, y, context=None):
-        return de.take(y, self.inv, axis=1), None
+        return de.take(y, self.inv, axis=1, inverse=self.perm), None
 
 
 def reversal(dim: int) -> Permutation:
@@ -371,7 +373,7 @@ class CouplingLayer:
         last column, and the pass returns two nodes that read it."""
         if self.context_width and context is None:
             raise FlowError("conditional layer evaluated without context")
-        xc = de.take(x, self.idx_cond, axis=1)
+        xc = de.take(x, self.idx_cond, axis=1, distinct=True)
         h = self.conditioner.forward_node(
             bind, xc, context if self.context_width else None)
         yo, ld, saved = self._couple(x.value[:, self.idx_out], h.value, inverse)

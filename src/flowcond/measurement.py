@@ -77,7 +77,7 @@ class MaskOp(MeasurementOp):
         return out
 
     def apply_node(self, x):
-        return de.take(x, self.indices, axis=1)
+        return de.take(x, self.indices, axis=1, distinct=True)
 
 
 class _MatrixOp(MeasurementOp):

@@ -206,16 +206,17 @@ def load_checkpoint(path, expected_kind: str | None = None) -> FlowModel:
         raise KindMismatch(f"{path}: checkpoint kind {kind!r}, expected "
                            f"{expected_kind!r}")
     (n_layers,) = r.unpack("I")
-    layers = [_read_layer(r) for _ in range(n_layers)]
-    (count,) = r.unpack("Q")
-    expected = sum(a.size for layer in layers for a in layer.state_arrays())
-    if count != expected:
-        raise PersistError(f"{path}: descriptor implies {expected} parameters, "
-                           f"blob declares {count}")
-    vector = r.payload(count).copy()
-    # a diagonal layer checks the scale it is handed and caches its
-    # log-determinant, so a bad stored scale fails here
+    # layers check the partition or permutation they are handed, and a
+    # diagonal layer its scale (caching its log-determinant), so a bad
+    # descriptor or stored scale fails here
     try:
+        layers = [_read_layer(r) for _ in range(n_layers)]
+        (count,) = r.unpack("Q")
+        expected = sum(a.size for layer in layers for a in layer.state_arrays())
+        if count != expected:
+            raise PersistError(f"{path}: descriptor implies {expected} "
+                               f"parameters, blob declares {count}")
+        vector = r.payload(count).copy()
         return FlowModel(dim, layers, context_width, vector)
     except FlowError as e:
         raise PersistError(f"{path}: {e}") from None
@@ -339,22 +340,52 @@ def synth_dataset(kind: str, n: int, seed: int) -> Dataset:
     return Dataset(kind=kind, samples=pts.reshape(n, 2))
 
 
+# images rendered per block: bounds the temporaries of the broadcast exp
+_BLOB_BLOCK = 256
+
+
 def make_blob_images(n: int, height: int = 8, width: int = 8,
                      seed: int = 0) -> Dataset:
-    """Smooth toy images: one or two Gaussian bumps on a dark background."""
+    """Smooth toy images: one or two Gaussian bumps on a dark background.
+
+    Per image the generator draws the bump count k, then 4k uniforms: the
+    centre row and column, the radius and the amplitude of each bump.
+    """
     rng = np.random.default_rng(seed)
-    yy, xx = np.mgrid[0:height, 0:width]
-    samples = np.zeros((n, height * width))
+    counts = np.empty(n, dtype=np.intp)
+    draws = np.zeros((n, 2, 4))
     for i in range(n):
-        img = np.full((height, width), 0.05)
-        for _ in range(rng.integers(1, 3)):
-            cy = rng.uniform(1.0, height - 2.0)
-            cx = rng.uniform(1.0, width - 2.0)
-            rad = rng.uniform(1.0, 2.5)
-            amp = rng.uniform(0.5, 0.9)
-            img += amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * rad * rad))
-        samples[i] = np.clip(img, 0.0, 1.0).reshape(-1)
+        counts[i] = k = rng.integers(1, 3)
+        rng.random(out=draws[i, :k])
+    # a scalar uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
+    lo = np.array([1.0, 1.0, 1.0, 0.5])
+    span = np.array([height - 2.0, width - 2.0, 2.5, 0.9]) - lo
+    yy, xx = np.mgrid[0:height, 0:width]
+    samples = np.empty((n, height * width))
+    for start in range(0, n, _BLOB_BLOCK):
+        rows = slice(start, start + _BLOB_BLOCK)
+        bumps = lo + span * draws[rows]
+        # (0.05 + first bump) + second bump, then the clip
+        img = _render_bumps(bumps[:, 0], yy, xx)
+        img += 0.05
+        two = counts[rows] == 2
+        img[two] += _render_bumps(bumps[two, 1], yy, xx)
+        np.clip(img, 0.0, 1.0, out=img)
+        samples[rows] = img.reshape(len(img), -1)
     return Dataset(kind="blobs", samples=samples, image_shape=(height, width, 1))
+
+
+def _render_bumps(bumps, yy, xx):
+    """amp * exp(-((yy - cy)^2 + (xx - cx)^2) / (2 rad^2)) for each row
+    (cy, cx, rad, amp) of ``bumps``, as an (n, height, width) array."""
+    cy, cx, rad, amp = (c[:, None, None] for c in bumps.T)
+    out = np.square(yy - cy)
+    out += np.square(xx - cx)
+    np.negative(out, out=out)
+    out /= 2 * rad * rad
+    np.exp(out, out=out)
+    out *= amp
+    return out
 
 
 # ---------------------------------------------------------------------------

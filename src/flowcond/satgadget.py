@@ -457,9 +457,12 @@ def conditional_sat_demo(formula: CnfFormula, eps: float = 0.25,
     n_window = int(np.count_nonzero(mass))
     if denom <= 0.0 or n_window == 0:
         return inconclusive
-    numer = float(mass[good].sum()) / budget
+    # both sums run over the same array in the same order, and rounding is
+    # monotone: the fraction is at most 1, and exactly 1 when every draw
+    # with mass is good
+    success = float(np.where(good, mass, 0.0).sum()) / float(mass.sum())
     return DemoReport(status="ok", accept_rate=denom,
-                      success_fraction=numer / denom,
+                      success_fraction=success,
                       n_window_draws=n_window, n_sat_corners=n_sat,
                       big_m=big_m, tau=tau, eps=eps, budget=budget,
                       corner_check_exact=exact)

@@ -93,7 +93,8 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 class AdamState:
     """Adam moments for parameter arrays ``params`` that tile one flat
     vector in order; the moments are flat vectors too, and each update
-    steps the whole vector with a few vector ops."""
+    steps the whole vector with a few vector ops into two work vectors, so
+    a step allocates nothing of the vector's size."""
 
     def __init__(self, params, learning_rate: float):
         self.lr = float(learning_rate)
@@ -101,6 +102,7 @@ class AdamState:
         size = sum(p.size for p in params)
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._work = (np.empty(size), np.empty(size))
 
     def update(self, vector, grad) -> None:
         """One in-place Adam step of the flat ``vector`` with the flat
@@ -110,19 +112,30 @@ class AdamState:
         c1 = 1.0 - _BETA1 ** t
         c2 = 1.0 - _BETA2 ** t
         m, v = self.m, self.v
+        a, b = self._work
+        # vector -= lr * (m / c1) / (sqrt(v / c2) + eps), after the moment
+        # updates, one operation at a time in that order
         m *= _BETA1
-        m += (1.0 - _BETA1) * grad
+        m += np.multiply(grad, 1.0 - _BETA1, out=a)
         v *= _BETA2
-        v += (1.0 - _BETA2) * (grad * grad)
-        vector -= self.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
+        np.multiply(grad, grad, out=a)
+        v += np.multiply(a, 1.0 - _BETA2, out=a)
+        np.divide(m, c1, out=a)
+        a *= self.lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += _EPS
+        a /= b
+        vector -= a
 
 
-def clip_gradients(grad, grads, max_norm: float | None) -> float:
+def clip_gradients(grad, grads, max_norm: float | None, work=None) -> float:
     """Scale the flat gradient ``grad`` in place to the given global norm;
     returns the pre-clip norm (what traces record).  ``grads`` are its
     per-array views in parameter order: the squares are summed view by
-    view, so the norm has the bits of a sum over separate arrays."""
-    sq = grad * grad
+    view, so the norm has the bits of a sum over separate arrays.  The
+    squares go into ``work`` when given, a vector shaped like ``grad``."""
+    sq = np.multiply(grad, grad, out=work)
     ends = list(itertools.accumulate(g.size for g in grads))
     norm = float(np.sqrt(sum(float(np.add.reduce(sq[a:b]))
                              for a, b in zip([0] + ends, ends))))
@@ -156,6 +169,7 @@ def _fit(vector, params, config: TrainConfig, step_loss,
     """
     adam = AdamState(params, config.learning_rate)
     grad = np.zeros_like(vector)
+    squares = np.empty_like(vector)
     grads = flat_views(grad, params)
     trace = TrainTrace()
     for step in range(config.num_steps):
@@ -164,11 +178,14 @@ def _fit(vector, params, config: TrainConfig, step_loss,
         if not np.isfinite(total):
             raise TrainingDiverged(step, trace)
         bind.gradients(de.backward(bind.graph, loss), params, grads)
-        norm = clip_gradients(grad, grads, config.gradient_clip_norm)
+        norm = clip_gradients(grad, grads, config.gradient_clip_norm, squares)
         trace.append(step, kl, pen, total, norm)
         adam.update(vector, grad)
         if step_callback is not None:
             step_callback(step)
+        # nodes point at their graph: emptying it frees the step's tape now,
+        # where the cyclic collector would keep many steps' tapes alive
+        bind.graph.nodes.clear()
     return trace
 
 

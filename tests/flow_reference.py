@@ -11,6 +11,8 @@ optimizer did before it stepped one flat vector;
 :func:`use_reference_optimizer` swaps them in.  :func:`gadget_neurons` and
 :func:`dense_gadget_eval` evaluate the 3-SAT gadget as the dense network it
 is defined as: all seven pattern neurons of every clause, on every row.
+:func:`blob_images_reference` renders the blob dataset one image at a
+time with scalar draws, as the package did before it rendered in blocks.
 """
 
 import math
@@ -87,8 +89,9 @@ def use_reference(monkeypatch):
     monkeypatch.setattr(CouplingLayer, "inverse_node", coupling_inverse_node)
 
 
-def clip_gradients(grad, grads, max_norm):
-    """The global-norm clip over the separate arrays ``grads``."""
+def clip_gradients(grad, grads, max_norm, work=None):
+    """The global-norm clip over the separate arrays ``grads`` (``work``
+    is not used)."""
     norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
     if max_norm is not None and norm > max_norm:
         scale = max_norm / norm
@@ -128,6 +131,24 @@ def use_reference_optimizer(monkeypatch):
     above."""
     monkeypatch.setattr(training, "clip_gradients", clip_gradients)
     monkeypatch.setattr(training, "AdamState", AdamState)
+
+
+def blob_images_reference(n, height=8, width=8, seed=0):
+    """The (n, height * width) samples of ``make_blob_images``, one image
+    and one scalar draw at a time."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:height, 0:width]
+    samples = np.zeros((n, height * width))
+    for i in range(n):
+        img = np.full((height, width), 0.05)
+        for _ in range(rng.integers(1, 3)):
+            cy = rng.uniform(1.0, height - 2.0)
+            cx = rng.uniform(1.0, width - 2.0)
+            rad = rng.uniform(1.0, 2.5)
+            amp = rng.uniform(0.5, 0.9)
+            img += amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * rad * rad))
+        samples[i] = np.clip(img, 0.0, 1.0).reshape(-1)
+    return samples
 
 
 def gadget_neurons(gadget, x):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flowcond import diffengine as de
+from flowcond.flows import Permutation
 
 
 def scalar(node):
@@ -102,6 +103,29 @@ class TestBackward:
         x = g.leaf([1.0, 2.0, 3.0])
         grads = de.backward(g, de.take(x, [0, 0, 2]).sum())
         np.testing.assert_array_equal(grads[x], [2.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("d", [2, 5, 64])
+    def test_take_distinct_adjoints_match_scatter_add(self, d):
+        # the adjoints of gathers over distinct indices (a permutation, a
+        # coupling partition) have the bytes of the scatter-add into zeros,
+        # -0.0 in the incoming adjoint included
+        perm = Permutation(np.random.default_rng(d).permutation(d))
+        gathers = {
+            "forward": (perm.perm, dict(inverse=perm.inv)),
+            "inverse": (perm.inv, dict(inverse=perm.perm)),
+            "partition": (np.arange(0, d, 2), dict(distinct=True)),
+            "partition-odd": (np.arange(1, d, 2), dict(distinct=True)),
+        }
+        rng = np.random.default_rng(d + 1)
+        for name, (idx, how) in gathers.items():
+            x = de.Graph().leaf(rng.standard_normal((7, d)))
+            g = rng.standard_normal((7, len(idx)))
+            g[::2, 0] = -0.0
+            (adjoint,) = de.take(x, idx, axis=1, **how).vjp(g)
+            reference = np.zeros((7, d))
+            np.add.at(reference, (slice(None), idx), g)
+            assert adjoint.shape == reference.shape, name
+            assert adjoint.tobytes() == reference.tobytes(), name
 
     def test_linearity(self):
         rng = np.random.default_rng(0)

@@ -11,7 +11,7 @@ import pytest
 from flowcond import diffengine as de
 from flowcond.flows import (ComposedSampler, CouplingLayer, DiagonalAffine,
                             FlowError, FlowModel, Mlp, ParamBinder,
-                            SingularScale, gaussian_logpdf,
+                            Permutation, SingularScale, gaussian_logpdf,
                             gaussian_logpdf_node, make_flow)
 from flowcond.training import default_pre_generator
 
@@ -65,6 +65,14 @@ class TestBijectivity:
         x_back, _ = flow.forward(flow.inverse(x)[0])
         assert np.max(np.abs(x_back - x)) < 1e-9
         np.testing.assert_allclose(ld_f + ld_i, 0.0, atol=1e-9)
+
+    def test_permutation_must_reorder_every_index(self):
+        # its tape adjoint is the gather by the inverse, which needs a true
+        # permutation
+        for bad in ([0, 0, 2], [0, 1, 3], [1, 2]):
+            with pytest.raises(FlowError, match="permutation"):
+                Permutation(bad)
+        assert Permutation([2, 0, 1]).inv.tolist() == [1, 2, 0]
 
     def test_additive_inverse_recovers_shifted_half(self):
         # single additive layer: y2 = x2 + g(x1)  <=>  x2 = y2 - g(y1)

@@ -318,6 +318,18 @@ class TestConditionalDemo:
         assert report.success_fraction == 0.0
         assert report.n_sat_corners == 0
 
+    @pytest.mark.parametrize("big_m", [40.0, 60.0])
+    def test_success_fraction_is_one_when_all_mass_is_good(self, big_m):
+        # at this M the window's tail underflows to 0 off the satisfying
+        # boxes, so every draw with mass decodes to a satisfying corner;
+        # summing the mass of good draws apart from the mean read
+        # 1.0000000000000002 (M = 60, rng 0) and 0.9999999999999996
+        for seed in range(6):
+            report = conditional_sat_demo(TWO, big_m=big_m, sampler_budget=5000,
+                                          rng=np.random.default_rng(seed))
+            assert report.status == "ok"
+            assert report.success_fraction == 1.0
+
     def test_default_scale_formula(self):
         assert default_output_scale(TWO) == pytest.approx(
             4.0 * math.sqrt(3 * math.log(2)))

@@ -3,18 +3,23 @@ identity-start contracts, MLE against the Gaussian entropy rate, and the
 amortization machinery."""
 
 import copy
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from flowcond.flows import ComposedSampler, FlowModel, make_flow
+from flowcond import diffengine as de
+from flowcond.flows import ComposedSampler, FlowModel, flat_views, make_flow
 from flowcond.measurement import MaskOp, Observation, make_observation
 from flowcond.objective import svi_loss
 from flowcond.training import (AdamState, TrainConfig, TrainingDiverged,
                                TrainingError, TrainTrace, clip_gradients,
                                observation_context, stream_rng,
                                train_amortized, train_base_mle, train_svi)
+from tests import flow_reference as ref
 from tests.test_flows import perturbed_flow, reads_vector
 
 
@@ -66,6 +71,41 @@ class TestAdam:
         np.testing.assert_array_equal(
             p, -1e-3 * (m / (1.0 - 0.9)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-8))
 
+    def test_matches_per_array_reference(self):
+        rng = np.random.default_rng(3)
+        shapes = [(40, 50), (1, 50), (300,), (7, 3)]
+        size = sum(math.prod(s) for s in shapes)
+        vector = rng.standard_normal(size)
+        reference = vector.copy()
+        params = flat_views(vector, [np.empty(s) for s in shapes])
+        ref_params = flat_views(reference, params)
+        state = AdamState(params, learning_rate=3e-3)
+        ref_state = ref.AdamState(ref_params, learning_rate=3e-3)
+        for _ in range(5):
+            grad = rng.standard_normal(size)
+            state.update(vector, grad)
+            ref_state.update(reference, grad)
+        assert vector.tobytes() == reference.tobytes()
+        assert state.m.tobytes() == np.concatenate(
+            [m.reshape(-1) for m in ref_state.m]).tobytes()
+        assert state.v.tobytes() == np.concatenate(
+            [v.reshape(-1) for v in ref_state.v]).tobytes()
+
+    def test_update_allocates_no_vector_sized_temporaries(self):
+        rng = np.random.default_rng(4)
+        vector = rng.standard_normal(100_000)
+        grads = rng.standard_normal((4, vector.size))
+        state = AdamState([vector], learning_rate=1e-3)
+        state.update(vector, grads[0])
+        tracemalloc.start()
+        try:
+            for grad in grads[1:]:
+                state.update(vector, grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vector.nbytes / 4, f"peak {peak} B"
+
 
 class TestClip:
     def test_scales_to_max_norm(self):
@@ -73,6 +113,22 @@ class TestClip:
         norm = clip_gradients(grad, [grad], 1.0)
         assert norm == pytest.approx(5.0)
         np.testing.assert_allclose(grad, [0.6, 0.8])
+
+    def test_work_vector_takes_the_squares(self):
+        rng = np.random.default_rng(5)
+        grad = 100.0 * rng.standard_normal(100_000)
+        grads = flat_views(grad, [np.empty(60_000), np.empty((400, 100))])
+        expected = grad.copy()
+        norm = clip_gradients(expected, flat_views(expected, grads), 100.0)
+        work = np.empty_like(grad)
+        tracemalloc.start()
+        try:
+            assert clip_gradients(grad, grads, 100.0, work) == norm
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grad.tobytes() == expected.tobytes()
+        assert peak < grad.nbytes / 4, f"peak {peak} B"
 
     def test_none_disables(self):
         grad = np.array([30.0, 40.0])
@@ -207,6 +263,28 @@ class TestTrainBaseMle:
         assert not params_equal(before, params_snapshot(twin))
         train_base_mle(base, data, cfg)
         assert params_equal(params_snapshot(base), params_snapshot(twin))
+
+    def test_each_step_frees_its_tape_without_the_collector(self, monkeypatch):
+        # a tape's nodes point at their graph; left to the cyclic collector,
+        # many steps' tapes stayed alive at once (blobs64's train-base
+        # peaked at 160 MB of traced memory, 16 MB with each tape freed)
+        graphs = []
+
+        class Graph(de.Graph):
+            def __init__(self):
+                super().__init__()
+                graphs.append(weakref.ref(self))
+
+        monkeypatch.setattr(de, "Graph", Graph)
+        flow = perturbed_flow(3, "affine", seed=21, num_layers=3, hidden_width=8)
+        data = np.random.default_rng(22).standard_normal((100, 3))
+        gc.disable()
+        try:
+            train_base_mle(flow, data, TrainConfig(num_steps=5, batch_size=16))
+            alive = [ref() for ref in graphs if ref() is not None]
+        finally:
+            gc.enable()
+        assert len(graphs) == 5 and alive == []
 
     def test_dataset_shape_validation(self):
         flow = make_flow(2, rng=np.random.default_rng(17))
