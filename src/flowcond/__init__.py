@@ -18,8 +18,7 @@ from .flows import (ComposedSampler, CouplingLayer, DiagonalAffine, FlowModel,
 from .measurement import (Downsample2xOp, GaussianOp, GrayscaleOp, MaskOp,
                           Observation, make_observation)
 from .objective import (GridSpec, LossBreakdown, SmoothingSpec,
-                        ambient_vi_loss, joint_vs_marginal_gap,
-                        latent_kl_estimate, svi_loss)
+                        joint_vs_marginal_gap, latent_kl_estimate, svi_loss)
 from .persist import (Dataset, load_checkpoint, load_run_config,
                       make_blob_images, save_checkpoint, synth_dataset)
 from .satgadget import (CnfFormula, GadgetFlow, SatGadget, compile_gadget,

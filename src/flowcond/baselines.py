@@ -121,6 +121,9 @@ def lmc_sample(base: FlowModel, obs: Observation, smoothing: SmoothingSpec,
             states.append(z)
             log_targets.append(log_p)
         grad = de.backward(g, tgt.sum())[zn]
+        # nodes point at their graph: emptying it frees the step's tape now,
+        # not when the cyclic collector next runs
+        g.nodes.clear()
         if t > config.burn_in and eta > 0.0:
             log_alpha = _log_acceptance(*previous, z, log_p, grad, eta)
             accepted += np.exp(np.minimum(log_alpha, 0.0))

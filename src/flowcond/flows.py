@@ -202,9 +202,6 @@ class Permutation:
             raise FlowError("permutation must reorder 0..d-1")
         self.inv = np.argsort(self.perm)
 
-    def parameters(self):
-        return []
-
     def state_arrays(self):
         return []
 
@@ -242,9 +239,6 @@ class DiagonalAffine:
         if shift.shape != scale.shape:
             raise FlowError("scale and shift must share a shape")
         self.set_state([scale, shift])
-
-    def parameters(self):
-        return []
 
     def state_arrays(self):
         return [self.scale, self.shift]
@@ -306,9 +300,6 @@ class CouplingLayer:
             raise FlowError(
                 f"conditioner widths {conditioner.widths} do not fit partition "
                 f"(need {expected_in} -> {expected_out})")
-
-    def parameters(self):
-        return self.conditioner.parameters()
 
     def state_arrays(self):
         return self.conditioner.parameters()
@@ -383,7 +374,8 @@ class CouplingLayer:
 
         def input_adjoints(g_y, g_xo):
             g_x = np.zeros((n, d))
-            g_x[:, idx_out] += g_xo
+            # + 0.0 makes -0.0 into 0.0, as accumulating onto zeros does
+            g_x[:, idx_out] = g_xo + 0.0
             return g_x, g_y[:, idx_cond]
 
         if saved is None:
@@ -463,7 +455,7 @@ class FlowModel:
         self.dim = int(dim)
         self.layers = list(layers)
         self.context_width = int(context_width)
-        arrays = self.state_arrays()
+        arrays = self.parameters()
         size = sum(a.size for a in arrays)
         if vector is None:
             vector = np.empty(size)
@@ -486,7 +478,7 @@ class FlowModel:
     def vector(self) -> np.ndarray:
         """The one vector of the layers' state, in checkpoint descriptor
         order.  Raises FlowError once another model has taken the layers."""
-        if any(a is not v for a, v in zip(self.state_arrays(), self._views)):
+        if any(a is not v for a, v in zip(self.parameters(), self._views)):
             raise FlowError("the layers of this model now read another "
                             "model's vector")
         return self._vector
@@ -498,12 +490,8 @@ class FlowModel:
                          self.context_width)
 
     def parameters(self) -> list[np.ndarray]:
-        """The trainable arrays, views of :attr:`vector`."""
-        return [p for layer in self.layers for p in layer.parameters()]
-
-    def state_arrays(self) -> list[np.ndarray]:
-        """Every layer's state arrays in descriptor order; they tile
-        :attr:`vector`."""
+        """Every layer's state arrays in descriptor order: the views that
+        tile :attr:`vector`, which the optimizer steps."""
         return [a for layer in self.layers for a in layer.state_arrays()]
 
     # ---- tape passes; bind=None treats the weights as constants ----

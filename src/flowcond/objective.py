@@ -6,8 +6,7 @@ The per-observation loss is
 
 estimated over a reparametrized batch eps ~ N(0, I), z = pre(eps).  The
 normalization constant of the smoothing kernel is dropped, so totals are
-comparable only at fixed sigma.  The ambient variant runs the same KL in
-signal space instead of the base model's latent space.
+comparable only at fixed sigma.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffengine as de
-from .flows import ComposedSampler, FlowModel, ParamBinder, gaussian_logpdf_node
+from .flows import ComposedSampler, ParamBinder, gaussian_logpdf_node
 from .measurement import Observation
 
 
@@ -101,33 +100,6 @@ def svi_loss(cs: ComposedSampler, obs: Observation, smoothing: SmoothingSpec,
              eps_batch) -> LossBreakdown:
     eps = _eps_batch(eps_batch, cs.dim)
     kl, pen, _ = svi_loss_nodes(ParamBinder(de.Graph()), cs, obs, smoothing, eps)
-    out = LossBreakdown.of(float(kl.value), float(pen.value))
-    if not math.isfinite(out.total):
-        raise ObjectiveError("non-finite loss")
-    return out
-
-
-def ambient_vi_loss_nodes(bind: ParamBinder, q: FlowModel, base: FlowModel,
-                          obs: Observation, smoothing: SmoothingSpec,
-                          eps: np.ndarray):
-    """Same decomposition as the latent loss, but the KL runs in x space:
-    x = q(eps) directly, log q(x) against the base model's log density."""
-    g = bind.graph
-    eps_node = g.constant(eps)
-    x, ld_q = q.forward_node(bind, eps_node)
-    log_q = gaussian_logpdf_node(eps_node) - ld_q
-    z, ld_inv = base.inverse_node(None, x)
-    log_p = gaussian_logpdf_node(z) + ld_inv
-    kl = (log_q - log_p).mean()
-    pen = smoothing.beta * obs.residual_node(x).mean()
-    return kl, pen, kl + pen
-
-
-def ambient_vi_loss(q: FlowModel, base: FlowModel, obs: Observation,
-                    smoothing: SmoothingSpec, eps_batch) -> LossBreakdown:
-    eps = _eps_batch(eps_batch, q.dim)
-    g = de.Graph()
-    kl, pen, _ = ambient_vi_loss_nodes(ParamBinder(g), q, base, obs, smoothing, eps)
     out = LossBreakdown.of(float(kl.value), float(pen.value))
     if not math.isfinite(out.total):
         raise ObjectiveError("non-finite loss")

@@ -473,13 +473,14 @@ def load_run_config(path, overrides=()) -> RunConfig:
     except configparser.Error as e:
         raise ConfigError("config", f"parse failure: {e}")
     for ov in overrides:
-        if "=" not in ov or "." not in ov.split("=", 1)[0]:
+        target, eq, value = ov.partition("=")
+        section, _, key = target.partition(".")
+        section, key = section.strip(), key.strip()
+        if not (eq and section and key) or section == parser.default_section:
             raise ConfigError("override", f"expected section.key=value, got {ov!r}")
-        target, value = ov.split("=", 1)
-        section, key = target.split(".", 1)
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section.strip(), key.strip(), value.strip())
+        parser.set(section, key, value.strip())
     cfg = RunConfig(parser, str(path), tuple(overrides))
     # referenced paths must exist up front
     for section in parser.sections():

@@ -20,7 +20,7 @@ from . import diffengine as de
 from .flows import (ComposedSampler, FlowModel, ParamBinder, flat_views,
                     gaussian_logpdf_node, make_flow)
 from .measurement import MaskOp, Observation
-from .objective import SmoothingSpec, ambient_vi_loss_nodes, svi_loss_nodes
+from .objective import SmoothingSpec, svi_loss_nodes
 
 
 class TrainingError(ValueError):
@@ -74,10 +74,6 @@ class TrainTrace:
 
     def __len__(self):
         return len(self.rows)
-
-    def column(self, name: str) -> np.ndarray:
-        names = ("step", "kl", "penalty", "total", "grad_norm")
-        return np.asarray([r[names.index(name)] for r in self.rows])
 
     def to_csv(self) -> str:
         lines = ["step,kl,penalty,total,grad_norm"]
@@ -144,12 +140,11 @@ def clip_gradients(grad, grads, max_norm: float | None, work=None) -> float:
     return norm
 
 
-def default_pre_generator(dim: int, seed: int, context_width: int = 0) -> FlowModel:
+def default_pre_generator(dim: int, seed: int) -> FlowModel:
     """Identity-start pre-generator: 6 affine couplings, width-64 two-hidden
     conditioners."""
     return make_flow(dim, num_layers=6, kind="affine", hidden_width=64,
-                     hidden_layers=2, context_width=context_width,
-                     rng=stream_rng(seed, "pregen-init"))
+                     hidden_layers=2, rng=stream_rng(seed, "pregen-init"))
 
 
 def _fit(vector, params, config: TrainConfig, step_loss,
@@ -195,19 +190,16 @@ def _loss_row(kl, pen, total):
     return total, (kl.value, pen.value, total.value)
 
 
-def train_svi(base: FlowModel, obs: Observation, config: TrainConfig,
-              pre_generator: FlowModel | None = None,
-              step_callback=None):
-    """Fit a pre-generator to one observation (reparametrized batches, Adam).
+def train_svi(base: FlowModel, obs: Observation, config: TrainConfig):
+    """Fit the default pre-generator to one observation (reparametrized
+    batches, Adam).
 
     The base flow is frozen: only pre-generator parameters are updated.
     The trace row for step i is the loss *before* that step's update, so
-    row 0 of a fresh run always shows a zero KL term.  ``step_callback(step,
-    pre_generator)`` runs after every step's update.
+    row 0 of a fresh run always shows a zero KL term.
     """
     d = base.dim
-    pre = pre_generator if pre_generator is not None else \
-        default_pre_generator(d, config.seed)
+    pre = default_pre_generator(d, config.seed)
     cs = ComposedSampler(pre, base)
     smoothing = SmoothingSpec(config.sigma)
 
@@ -216,8 +208,7 @@ def train_svi(base: FlowModel, obs: Observation, config: TrainConfig,
             (config.batch_size, d))
         return _loss_row(*svi_loss_nodes(bind, cs, obs, smoothing, eps))
 
-    hook = None if step_callback is None else lambda step: step_callback(step, pre)
-    return pre, _fit(pre.vector, pre.state_arrays(), config, step_loss, hook)
+    return pre, _fit(pre.vector, pre.parameters(), config, step_loss)
 
 
 def observation_context(obs: Observation) -> np.ndarray:
@@ -256,25 +247,8 @@ def train_amortized(base: FlowModel, conditional_pre_generator: FlowModel,
             (config.batch_size, d))
         return _loss_row(*svi_loss_nodes(bind, cs, obs, smoothing, eps))
 
-    _fit(pre.vector, pre.state_arrays(), config, step_loss)
+    _fit(pre.vector, pre.parameters(), config, step_loss)
     return pre
-
-
-def train_ambient_vi(base: FlowModel, obs: Observation, config: TrainConfig,
-                     q: FlowModel | None = None):
-    """Baseline: variational fit directly in signal space (same budget and
-    loss decomposition, no latent composition)."""
-    d = base.dim
-    if q is None:
-        q = default_pre_generator(d, config.seed)
-    smoothing = SmoothingSpec(config.sigma)
-
-    def step_loss(bind, step):
-        eps = stream_rng(config.seed, "avi-ambient-eps", step).standard_normal(
-            (config.batch_size, d))
-        return _loss_row(*ambient_vi_loss_nodes(bind, q, base, obs, smoothing, eps))
-
-    return q, _fit(q.vector, q.state_arrays(), config, step_loss)
 
 
 def train_base_mle(flow: FlowModel, dataset, config: TrainConfig,
@@ -297,4 +271,4 @@ def train_base_mle(flow: FlowModel, dataset, config: TrainConfig,
         return loss, (0.0, 0.0, float(loss.value) / flow.dim)
 
     hook = None if step_callback is None else lambda step: step_callback(step, flow)
-    return flow, _fit(flow.vector, flow.state_arrays(), config, step_loss, hook)
+    return flow, _fit(flow.vector, flow.parameters(), config, step_loss, hook)

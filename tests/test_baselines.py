@@ -1,10 +1,14 @@
 """Baseline sampler/optimizer tests: Langevin chain mechanics against
 stationary-law oracles, and the point-estimate contracts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from flowcond import baselines
+from flowcond import diffengine as de
 from flowcond.baselines import (BaselineError, LmcConfig, csgm_estimate,
                                 ivom_estimate, latent_objective, lmc_sample,
                                 save_chain)
@@ -62,6 +66,28 @@ class TestLmcChain:
         b = lmc_sample(identity_base(), far_obs(), SmoothingSpec(1.0), cfg)[0]
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.log_targets, b.log_targets)
+
+    def test_each_step_frees_its_tape_without_the_collector(self, monkeypatch):
+        # a tape's nodes point at their graph, so a step's tape left to the
+        # cyclic collector stays alive until it runs
+        graphs = []
+
+        class Graph(de.Graph):
+            def __init__(self):
+                super().__init__()
+                graphs.append(weakref.ref(self))
+
+        monkeypatch.setattr(de, "Graph", Graph)
+        base = perturbed_flow(2, "affine", seed=5, num_layers=2, hidden_width=8)
+        obs = Observation(y_star=np.array([0.5]), op=MaskOp([0], 2))
+        cfg = LmcConfig(step_size=1e-3, chain_length=6, burn_in=0, seed=6)
+        gc.disable()
+        try:
+            lmc_sample(base, obs, SmoothingSpec(0.5), cfg, n_chains=2)
+            alive = [ref() for ref in graphs if ref() is not None]
+        finally:
+            gc.enable()
+        assert len(graphs) == 6 and alive == []
 
     def test_noise_increments_have_variance_eta(self):
         # reconstruct the injected noise by subtracting the known drift of

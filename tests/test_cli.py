@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from flowcond.cli import main
+from flowcond.flows import CouplingLayer
 from flowcond.persist import load_array, load_checkpoint, save_array
 
 
@@ -97,6 +98,34 @@ class TestTrainBase:
         model = load_checkpoint(trained_base, "base")
         assert model.dim == 2
 
+    def test_model_kind_and_hidden_layers_shape_the_base(self, tmp_path):
+        cfg = base_config(tmp_path)
+        assert main(["train-base", "--config", cfg, "--set", "train.num_steps=2",
+                     "--set", "model.kind=additive",
+                     "--set", "model.hidden_layers=1"]) == 0
+        model = load_checkpoint(tmp_path / "base" / "base.ckpt", "base")
+        couplings = [layer for layer in model.layers
+                     if isinstance(layer, CouplingLayer)]
+        assert len(couplings) == 4
+        for layer in couplings:
+            assert layer.kind == "additive"
+            assert layer.conditioner.widths == [1, 16, 1]
+
+    def test_data_seed_draws_the_training_set(self, tmp_path):
+        cfg = base_config(tmp_path)                     # [run] seed = 1
+
+        def checkpoint(name, *sets):
+            argv = ["train-base", "--config", cfg, "--set", "train.num_steps=3",
+                    "--set", f"run.output_dir={tmp_path / name}"]
+            for s in sets:
+                argv += ["--set", s]
+            assert main(argv) == 0
+            return (tmp_path / name / "base.ckpt").read_bytes()
+
+        default = checkpoint("default")
+        assert checkpoint("run-seed", "data.seed=1") == default
+        assert checkpoint("other-seed", "data.seed=2") != default
+
 
 class TestInfer:
     def test_writes_samples_and_observation(self, tmp_path, trained_base, capsys):
@@ -110,6 +139,22 @@ class TestInfer:
         load_checkpoint(out / "pregen.ckpt", "pregen")
         summary = capsys.readouterr().out.strip().splitlines()[-1]
         assert summary.startswith("infer:")
+
+    def test_mask_path_matches_inline_indices(self, tmp_path, trained_base):
+        (tmp_path / "mask.txt").write_text("1\n", encoding="ascii")
+        cfg = infer_config(tmp_path, trained_base, steps=0)   # indices = 0
+
+        def y_star(name, *sets):
+            argv = ["infer", "--config", cfg,
+                    "--set", f"run.output_dir={tmp_path / name}"]
+            for s in sets:
+                argv += ["--set", s]
+            assert main(argv) == 0
+            return (tmp_path / name / "y_star.flwa").read_bytes()
+
+        from_file = y_star("file", f"measure.mask_path={tmp_path / 'mask.txt'}")
+        assert from_file == y_star("inline", "measure.indices=1")
+        assert from_file != y_star("config")
 
     def test_zero_steps_gives_identity_start_sampler(self, tmp_path, trained_base):
         cfg = infer_config(tmp_path, trained_base, out_name="infer0", steps=0)
@@ -504,6 +549,26 @@ seed = bogus
         assert main(["train-base", "--config", cfg, "--set", f"data.n={n}"]) == 2
         assert "config error: data.n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target, field", [
+        ("DEFAULT.x=1", "override"), (".x=1", "override"),
+        ("train.=1", "override"), ("train.sigma", "override"),
+        # surrounding spaces are stripped: this sets train.sigma
+        ("train .sigma=0", "train.sigma"),
+    ])
+    def test_malformed_override_is_exit_2(self, tmp_path, capsys, target,
+                                          field):
+        # a config without a [train] section
+        cfg = write_cfg(tmp_path / "sat.cfg", f"""
+[run]
+output_dir = {tmp_path / "sat"}
+
+[sat]
+budget = 500
+""")
+        assert main(["sat-demo", "--config", cfg, "--set", target]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "sat").exists()
+
     @pytest.mark.parametrize("argv", [["bogus", "--config", "run.cfg"],
                                       ["infer"]],
                              ids=["unknown-command", "missing-config"])
@@ -795,6 +860,19 @@ class TestConfigKeysDocumented:
 
     def test_every_documented_key_is_read(self):
         assert readme_config_keys() - code_config_keys() == set()
+
+    def test_every_config_read_names_its_key(self):
+        # a section or key passed in a variable would escape both scanners
+        from flowcond import cli, persist
+        call = re.compile(r'\bcfg\.(?:get|getint|getfloat|getfloats|getints|has)'
+                          r'\(\s*([^,)]*),\s*([^,)]*)')
+        calls = []
+        for module in (cli, persist):
+            calls += call.findall(Path(module.__file__).read_text())
+        assert len(calls) > 40
+        for section, key in calls:
+            assert re.fullmatch(r'"\w+"', section), section
+            assert re.fullmatch(r'"\w+"', key), key
 
     def test_readme_examples_use_read_keys(self):
         example = readme_example_keys()

@@ -292,7 +292,7 @@ class TestGraphConsistency:
 def reads_vector(model):
     """Whether every state array of ``model`` is a view of its vector, the
     arrays tiling it in order."""
-    arrays = model.state_arrays()
+    arrays = model.parameters()
     return (all(a.base is model.vector for a in arrays)
             and np.array_equal(np.concatenate([a.ravel() for a in arrays]),
                                model.vector))
@@ -310,7 +310,7 @@ class TestParameterVector:
     def test_model_built_from_other_layers_reads_its_own_vector(self):
         flow = perturbed_flow(3, "affine", seed=37)
         head = DiagonalAffine([0.5, 2.0, 1.5], [0.1, -0.2, 0.0])
-        values = [a.copy() for a in head.state_arrays() + flow.state_arrays()]
+        values = [a.copy() for a in head.state_arrays() + flow.parameters()]
         stacked = FlowModel(3, [head] + flow.layers)
         assert reads_vector(stacked)
         np.testing.assert_array_equal(

@@ -18,8 +18,7 @@ from flowcond.flows import (ComposedSampler, CouplingLayer, DiagonalAffine,
 from flowcond.measurement import GaussianOp, MaskOp, Observation
 from flowcond.objective import SmoothingSpec
 from flowcond.training import (TrainConfig, observation_context,
-                               train_ambient_vi, train_amortized,
-                               train_base_mle, train_svi)
+                               train_amortized, train_base_mle, train_svi)
 from tests import flow_reference as ref
 from tests.test_flows import perturbed_flow
 
@@ -71,7 +70,7 @@ class TestFusedGradients:
     @pytest.mark.parametrize("which", [0, 2, 3, 5], ids=["w0", "w2", "b0", "b2"])
     def test_weights(self, kind, context_width, inverse, which):
         layer = coupling(kind, context_width)
-        target = layer.parameters()[which]
+        target = layer.state_arrays()[which]
 
         def fn(p):
             g = p.graph
@@ -182,9 +181,6 @@ def run_drivers(monkeypatch, base_kind):
         rows.clear()
         pre, _ = train_svi(base, obs, cfg)
         out[f"svi-{name}"] = (list(rows), pre.parameters())
-        rows.clear()
-        q, _ = train_ambient_vi(base, obs, cfg)
-        out[f"ambient-{name}"] = (list(rows), q.parameters())
         chain = lmc_sample(base, obs, SmoothingSpec(0.2),
                            LmcConfig(step_size=1e-3, chain_length=12, seed=10))[0]
         out[f"lmc-{name}"] = (chain.states, chain.log_targets)

@@ -2,7 +2,6 @@
 Gaussian KL, exact identity-start zeros, the loss decomposition, gradient
 correctness, and the joint-vs-marginal quadrature bound."""
 
-import copy
 import math
 
 import numpy as np
@@ -14,8 +13,8 @@ from flowcond.flows import (ComposedSampler, DiagonalAffine, FlowModel,
 from flowcond.measurement import MaskOp, Observation
 from flowcond.objective import (GridError, GridSpec, LossBreakdown,
                                 ObjectiveError, SmoothingSpec,
-                                ambient_vi_loss, joint_vs_marginal_gap,
-                                latent_kl_estimate, svi_loss, svi_loss_nodes)
+                                joint_vs_marginal_gap, latent_kl_estimate,
+                                svi_loss, svi_loss_nodes)
 from tests.test_flows import perturbed_flow
 
 
@@ -200,43 +199,6 @@ class TestSviLoss:
         with pytest.raises(ObjectiveError):
             svi_loss(cs, obs, SmoothingSpec(0.1),
                      np.random.default_rng(27).standard_normal((4, 2)))
-
-
-class TestAmbientVi:
-    def test_q_equal_to_base_has_zero_kl(self):
-        base = perturbed_flow(3, "affine", seed=28)
-        q = copy.deepcopy(base)
-        obs = Observation(y_star=np.array([0.3]), op=MaskOp([0], 3))
-        eps = np.random.default_rng(29).standard_normal((128, 3))
-        lb = ambient_vi_loss(q, base, obs, SmoothingSpec(0.2), eps)
-        assert abs(lb.kl_term) < 1e-9
-
-    def test_gradient_matches_finite_differences(self):
-        from flowcond.objective import ambient_vi_loss_nodes
-        base = perturbed_flow(2, "affine", seed=30, num_layers=2, hidden_width=6)
-        q = perturbed_flow(2, "affine", seed=31, num_layers=2, hidden_width=6,
-                           scale=0.1)
-        obs = Observation(y_star=np.array([0.4]), op=MaskOp([0], 2))
-        smoothing = SmoothingSpec(0.5)
-        eps = np.random.default_rng(32).standard_normal((8, 2))
-        g = de.Graph()
-        bind = ParamBinder(g)
-        _, _, total = ambient_vi_loss_nodes(bind, q, base, obs, smoothing, eps)
-        grads = bind.gradients(de.backward(g, total), q.parameters())
-        step = 1e-5
-        rng = np.random.default_rng(33)
-        for p, grad in zip(q.parameters(), grads):
-            flat = p.reshape(-1)
-            idx = int(rng.integers(flat.size))
-            orig = flat[idx]
-            flat[idx] = orig + step
-            hi = ambient_vi_loss(q, base, obs, smoothing, eps).total
-            flat[idx] = orig - step
-            lo = ambient_vi_loss(q, base, obs, smoothing, eps).total
-            flat[idx] = orig
-            fd = (hi - lo) / (2 * step)
-            a = grad.reshape(-1)[idx]
-            assert abs(a - fd) / (abs(a) + abs(fd) + 1e-12) < 1e-4
 
 
 def smoothed_posterior_sampler(y_star, sigma):

@@ -350,8 +350,8 @@ class TestCheckpointBytes:
         raw = framed_checkpoint(model, 2)
         (tmp_path / "m.ckpt").write_bytes(raw)
         loaded = load_checkpoint(tmp_path / "m.ckpt", "conditional")
-        assert len(loaded.state_arrays()) == len(model.state_arrays())
-        for a, b in zip(loaded.state_arrays(), model.state_arrays()):
+        assert len(loaded.parameters()) == len(model.parameters())
+        for a, b in zip(loaded.parameters(), model.parameters()):
             np.testing.assert_array_equal(a, b)
         save_checkpoint(loaded, tmp_path / "again.ckpt", "conditional")
         assert (tmp_path / "again.ckpt").read_bytes() == raw

@@ -286,6 +286,24 @@ class TestTrainBaseMle:
             gc.enable()
         assert len(graphs) == 5 and alive == []
 
+    def test_trained_on_known_gaussian_covariance(self):
+        # moment oracle from the generating distribution
+        rng = np.random.default_rng(42)
+        mean = np.array([0.5, -0.25])
+        scale = np.array([0.9, 1.6])
+        data = mean + scale * rng.standard_normal((6000, 2))
+        flow = make_flow(2, num_layers=4, hidden_width=24,
+                         rng=np.random.default_rng(43))
+        cfg = TrainConfig(learning_rate=2e-3, num_steps=500, batch_size=256,
+                          seed=44)
+        flow, _ = train_base_mle(flow, data, cfg)
+        samples = flow.sample(20_000, np.random.default_rng(45))
+        target_cov = np.diag(scale ** 2)
+        sample_cov = np.cov(samples.T)
+        assert np.all(np.abs(np.diag(sample_cov) - np.diag(target_cov))
+                      / np.diag(target_cov) < 0.1)
+        assert np.all(np.abs(samples.mean(axis=0) - mean) < 0.1)
+
     def test_dataset_shape_validation(self):
         flow = make_flow(2, rng=np.random.default_rng(17))
         with pytest.raises(TrainingError):
@@ -361,39 +379,3 @@ class TestAmortization:
             return params_snapshot(out)
 
         assert params_equal(run(), run())
-
-
-class TestAmbientViBaseline:
-    def test_ambient_loss_recorded_against_svi(self, capsys):
-        # measured outcome, recorded rather than asserted as a theorem:
-        # ambient-space VI typically ends no better than the latent loop
-        from flowcond.training import train_ambient_vi
-        base = perturbed_flow(2, "affine", seed=40, scale=0.2)
-        obs = Observation(y_star=np.array([0.7]), op=MaskOp([0], 2))
-        cfg = TrainConfig(learning_rate=1e-3, num_steps=250, batch_size=64,
-                          sigma=0.2, seed=41)
-        _, svi_trace = train_svi(base, obs, cfg)
-        _, ambient_trace = train_ambient_vi(base, obs, cfg)
-        svi_final = float(np.mean([r[3] for r in svi_trace.rows[-20:]]))
-        ambient_final = float(np.mean([r[3] for r in ambient_trace.rows[-20:]]))
-        print(f"[recorded] final losses at equal budget: "
-              f"ambient={ambient_final:.3f} svi={svi_final:.3f}")
-        assert np.isfinite(svi_final) and np.isfinite(ambient_final)
-
-    def test_trained_on_known_gaussian_covariance(self):
-        # moment oracle from the generating distribution
-        rng = np.random.default_rng(42)
-        mean = np.array([0.5, -0.25])
-        scale = np.array([0.9, 1.6])
-        data = mean + scale * rng.standard_normal((6000, 2))
-        flow = make_flow(2, num_layers=4, hidden_width=24,
-                         rng=np.random.default_rng(43))
-        cfg = TrainConfig(learning_rate=2e-3, num_steps=500, batch_size=256,
-                          seed=44)
-        flow, _ = train_base_mle(flow, data, cfg)
-        samples = flow.sample(20_000, np.random.default_rng(45))
-        target_cov = np.diag(scale ** 2)
-        sample_cov = np.cov(samples.T)
-        assert np.all(np.abs(np.diag(sample_cov) - np.diag(target_cov))
-                      / np.diag(target_cov) < 0.1)
-        assert np.all(np.abs(samples.mean(axis=0) - mean) < 0.1)
