@@ -22,8 +22,8 @@ from .objective import (GridSpec, LossBreakdown, SmoothingSpec,
 from .persist import (Dataset, load_checkpoint, load_run_config,
                       make_blob_images, save_checkpoint, synth_dataset)
 from .satgadget import (CnfFormula, GadgetFlow, SatGadget, compile_gadget,
-                        conditional_sat_demo, decode_assignment, delta_eps,
-                        parse_dimacs, to_dimacs, transformed_var)
+                        conditional_sat_demo, delta_eps, parse_dimacs,
+                        to_dimacs, transformed_var)
 from .training import (AdamState, TrainConfig, TrainTrace, observation_context,
                        stream_rng, train_amortized, train_base_mle, train_svi)
 

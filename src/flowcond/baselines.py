@@ -174,33 +174,37 @@ def latent_objective(base, obs, z, lam: float = 0.0) -> float:
     return val
 
 
-def _optimize_latent(base, obs, z0, lr, steps, lam):
+def _best_latent(base, obs, starts, lr, steps, lam) -> PointEstimate:
     """Adam on z for ||A(f(z)) - y*||^2 + lam ||z||^2, without a gradient
-    clip; returns (z, objective)."""
-    z = z0.copy()
+    clip, from each (1, d) start in ``starts`` (updated in place); the
+    estimate is the end point of lowest objective, the first on ties."""
+    if steps < 0:
+        raise BaselineError("steps must be >= 0", "steps")
+    config = TrainConfig(learning_rate=lr, num_steps=steps,
+                         gradient_clip_norm=None)
+    finals = []
+    for z in starts:
+        def step_loss(bind, step, z=z):
+            zn = bind(z)
+            x, _ = base.forward_node(None, zn)
+            loss = obs.residual_node(x).sum()
+            if lam != 0.0:
+                loss = loss + lam * zn.square().sum()
+            return loss, (0.0, 0.0, float(loss.value))
 
-    def step_loss(bind, step):
-        zn = bind(z)
-        x, _ = base.forward_node(None, zn)
-        loss = obs.residual_node(x).sum()
-        if lam != 0.0:
-            loss = loss + lam * zn.square().sum()
-        return loss, (0.0, 0.0, float(loss.value))
-
-    _fit(z.reshape(-1), [z], TrainConfig(learning_rate=lr, num_steps=steps,
-                                         gradient_clip_norm=None), step_loss)
-    return z, latent_objective(base, obs, z, lam)
+        _fit(z.reshape(-1), [z], config, step_loss)
+        finals.append(latent_objective(base, obs, z, lam))
+    best = min(range(len(finals)), key=finals.__getitem__)
+    x_hat = base.forward(starts[best])[0][0]
+    return PointEstimate(x_hat=x_hat, objective=finals[best],
+                         restart_objectives=tuple(finals))
 
 
 def ivom_estimate(base: FlowModel, obs: Observation, lr: float = 5e-4,
                   steps: int = 4000, seed: int = 0) -> PointEstimate:
     """Latent optimization of ||A(f(z)) - y*||^2 from z0 ~ N(0, I)."""
-    if steps < 0:
-        raise BaselineError("steps must be >= 0")
     z0 = stream_rng(seed, "ivom-init").standard_normal((1, base.dim))
-    z, obj = _optimize_latent(base, obs, z0, lr, steps, lam=0.0)
-    x_hat = base.forward(z)[0][0]
-    return PointEstimate(x_hat=x_hat, objective=obj, restart_objectives=(obj,))
+    return _best_latent(base, obs, [z0], lr, steps, lam=0.0)
 
 
 def csgm_estimate(base: FlowModel, obs: Observation, lr: float = 0.02,
@@ -209,18 +213,9 @@ def csgm_estimate(base: FlowModel, obs: Observation, lr: float = 0.02,
     """Regularized latent projection, best of ``restarts`` runs, each
     initialized z0 ~ N(0, 0.1^2 I)."""
     if restarts < 1:
-        raise BaselineError("restarts must be >= 1")
-    if steps < 0:
-        raise BaselineError("steps must be >= 0")
-    best = None
-    finals = []
-    for r in range(restarts):
-        z0 = 0.1 * stream_rng(seed, "csgm-init", r).standard_normal((1, base.dim))
-        z, _ = _optimize_latent(base, obs, z0, lr, steps, lam)
-        obj = latent_objective(base, obs, z, lam)
-        finals.append(obj)
-        if best is None or obj < best[1]:
-            best = (z, obj)
-    x_hat = base.forward(best[0])[0][0]
-    return PointEstimate(x_hat=x_hat, objective=best[1],
-                         restart_objectives=tuple(finals))
+        raise BaselineError("restarts must be >= 1", "restarts")
+    if not 0.0 <= lam < math.inf:
+        raise BaselineError("lam must be a finite number >= 0", "lam")
+    starts = [0.1 * stream_rng(seed, "csgm-init", r).standard_normal((1, base.dim))
+              for r in range(restarts)]
+    return _best_latent(base, obs, starts, lr, steps, lam)

@@ -66,12 +66,22 @@ def _dataset(cfg: RunConfig) -> persist.Dataset:
 
 
 def _arch(cfg: RunConfig) -> dict:
-    return {
+    """The ``[model]`` architecture, which commands check before they
+    build any data."""
+    arch = {
         "num_layers": cfg.getint("model", "num_layers", 6),
         "hidden_width": cfg.getint("model", "hidden_width", 64),
         "hidden_layers": cfg.getint("model", "hidden_layers", 2),
         "kind": cfg.get("model", "kind", "affine"),
     }
+    for key, least in (("num_layers", 1), ("hidden_width", 1),
+                       ("hidden_layers", 0)):
+        if arch[key] < least:
+            raise ConfigError(f"model.{key}", f"must be >= {least}")
+    if arch["kind"] not in ("additive", "affine"):
+        raise ConfigError("model.kind",
+                          f"expected additive or affine, got {arch['kind']!r}")
+    return arch
 
 
 def _train_config(cfg: RunConfig, **overrides) -> TrainConfig:
@@ -83,10 +93,24 @@ def _train_config(cfg: RunConfig, **overrides) -> TrainConfig:
         "sigma": cfg.getfloat("train", "sigma", 0.1),
         "seed": cfg.seed,
         "gradient_clip_norm": None if clip.lower() in ("", "none")
-        else float(clip),
+        else cfg.getfloat("train", "gradient_clip_norm", 100.0),
     }
     fields.update(overrides)
     return TrainConfig(**fields)
+
+
+def _noise_sigma(cfg: RunConfig) -> float:
+    noise = cfg.getfloat("observe", "noise_sigma", 0.0)
+    if not 0.0 <= noise < np.inf:
+        raise ConfigError("observe.noise_sigma", "must be a finite number >= 0")
+    return noise
+
+
+def _sample_n(cfg: RunConfig) -> int:
+    n = cfg.getint("sample", "n", 1000)
+    if n < 1:
+        raise ConfigError("sample.n", "must be >= 1")
+    return n
 
 
 def _operator(cfg: RunConfig, dim: int):
@@ -146,8 +170,8 @@ def _problem(cfg: RunConfig, dim: int):
     if source != "synthetic":
         raise ConfigError("observe.source", f"unknown source {source!r}")
     gt = _ground_truth(cfg)
-    noise = cfg.getfloat("observe", "noise_sigma", 0.0)
-    return op, make_observation(op, gt, noise, stream_rng(cfg.seed, "obs-noise"))
+    return op, make_observation(op, gt, _noise_sigma(cfg),
+                                stream_rng(cfg.seed, "obs-noise"))
 
 
 def _load_base(cfg: RunConfig):
@@ -182,8 +206,9 @@ def _save_observation(out: Path, obs: Observation) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_train_base(cfg: RunConfig, out: Path) -> str:
+    arch = _arch(cfg)
     ds = _dataset(cfg)
-    flow = make_flow(ds.dim, rng=stream_rng(cfg.seed, "base-init"), **_arch(cfg))
+    flow = make_flow(ds.dim, rng=stream_rng(cfg.seed, "base-init"), **arch)
     flow, trace = _fit_traced(out, train_base_mle, flow, ds, _train_config(cfg))
     persist.save_checkpoint(flow, out / "base.ckpt", "base")
     final = trace.rows[-1][3] if trace.rows else float("nan")
@@ -192,11 +217,11 @@ def cmd_train_base(cfg: RunConfig, out: Path) -> str:
 
 
 def cmd_infer(cfg: RunConfig, out: Path) -> str:
+    n = _sample_n(cfg)
     base = _load_base(cfg)
     _, obs = _problem(cfg, base.dim)
     pre, trace = _fit_traced(out, train_svi, base, obs, _train_config(cfg))
     persist.save_checkpoint(pre, out / "pregen.ckpt", "pregen")
-    n = cfg.getint("sample", "n", 1000)
     samples = ComposedSampler(pre, base).sample(n, stream_rng(cfg.seed, "sample"))
     persist.save_array(out / "samples.flwa", samples)
     _save_observation(out, obs)
@@ -208,20 +233,15 @@ def cmd_infer(cfg: RunConfig, out: Path) -> str:
 
 def _lmc_config(cfg: RunConfig) -> baselines.LmcConfig:
     burn_in = cfg.getint("lmc", "burn_in") if cfg.has("lmc", "burn_in") else None
-    try:
-        return baselines.LmcConfig(
-            step_size=cfg.getfloat("lmc", "step_size", 5e-4),
-            chain_length=cfg.getint("lmc", "chain_length", 4000),
-            burn_in=burn_in, thinning=cfg.getint("lmc", "thinning", 1),
-            seed=cfg.seed)
-    except baselines.BaselineError as e:
-        raise ConfigError(f"lmc.{e.field}", str(e))
+    return baselines.LmcConfig(
+        step_size=cfg.getfloat("lmc", "step_size", 5e-4),
+        chain_length=cfg.getint("lmc", "chain_length", 4000),
+        burn_in=burn_in, thinning=cfg.getint("lmc", "thinning", 1),
+        seed=cfg.seed)
 
 
 def cmd_lmc(cfg: RunConfig, out: Path) -> str:
     n_chains = cfg.getint("lmc", "n_chains", 1)
-    if n_chains < 1:
-        raise ConfigError("lmc.n_chains", "must be >= 1")
     config = _lmc_config(cfg)
     base = _load_base(cfg)
     _, obs = _problem(cfg, base.dim)
@@ -269,18 +289,19 @@ def cmd_csgm(cfg, out):
 
 
 def cmd_amortize(cfg: RunConfig, out: Path) -> str:
+    arch = _arch(cfg)
+    noise = _noise_sigma(cfg)
     base = _load_base(cfg)
     op = _operator(cfg, base.dim)
     _require_mask(op, "amortize")
     ds = _dataset(cfg)
-    noise = cfg.getfloat("observe", "noise_sigma", 0.0)
 
     def obs_sampler(rng: np.random.Generator) -> Observation:
         gt = ds.samples[rng.integers(0, len(ds.samples))]
         return make_observation(op, gt, noise, rng)
 
     cond = make_flow(base.dim, context_width=2 * base.dim,
-                     rng=stream_rng(cfg.seed, "cond-init"), **_arch(cfg))
+                     rng=stream_rng(cfg.seed, "cond-init"), **arch)
     cond = train_amortized(base, cond, obs_sampler, _train_config(cfg))
     persist.save_checkpoint(cond, out / "conditional.ckpt", "conditional")
     return (f"amortize: trained conditional pre-generator on {ds.kind} "
@@ -288,13 +309,13 @@ def cmd_amortize(cfg: RunConfig, out: Path) -> str:
 
 
 def cmd_amortized_infer(cfg: RunConfig, out: Path) -> str:
+    n = _sample_n(cfg)
     base = _load_base(cfg)
     op, obs = _problem(cfg, base.dim)
     _require_mask(op, "amortized-infer")
     cond = persist.load_checkpoint(
         cfg.get("model", "conditional_checkpoint"), "conditional")
     cs = ComposedSampler(cond, base, context=observation_context(obs))
-    n = cfg.getint("sample", "n", 1000)
     samples = cs.sample(n, stream_rng(cfg.seed, "sample"))
     persist.save_array(out / "samples.flwa", samples)
     _save_observation(out, obs)
@@ -338,10 +359,13 @@ def cmd_sigma_sweep(cfg: RunConfig, out: Path) -> str:
     base = _load_base(cfg)
     _, obs = _problem(cfg, base.dim)
     sigmas = cfg.getfloats("sweep", "sigmas", SIGMA_SWEEP_DEFAULT)
+    configs = [_train_config(cfg, sigma=sigma) for sigma in sigmas]
     n_eval = cfg.getint("sweep", "eval_samples", 2000)
+    if n_eval < 1:
+        raise ConfigError("sweep.eval_samples", "must be >= 1")
     residuals = []
-    for sigma in sigmas:
-        pre, _ = train_svi(base, obs, _train_config(cfg, sigma=sigma))
+    for config in configs:
+        pre, _ = train_svi(base, obs, config)
         samples = ComposedSampler(pre, base).sample(
             n_eval, stream_rng(cfg.seed, "sweep-eval"))
         residuals.append(float(np.mean(obs.residual(samples))))
@@ -359,31 +383,21 @@ def cmd_sigma_sweep(cfg: RunConfig, out: Path) -> str:
     return f"sigma-sweep: residuals {{{pairs}}}{plateau} -> {out / 'sweep.csv'}"
 
 
-# the [sat] key of each conditional_sat_demo argument a GadgetError names
-_SAT_KEYS = {"formula": "sat.cnf_path", "eps": "sat.eps",
-             "big_m": "sat.m_scale", "tau": "sat.tau"}
-
-
 def cmd_sat_demo(cfg: RunConfig, out: Path) -> str:
     budget = cfg.getint("sat", "budget", 100_000)
     if budget < 1:
         raise ConfigError("sat.budget", "must be >= 1")
-    try:
-        if cfg.has("sat", "cnf_path"):
-            formula = satgadget.load_dimacs(cfg.get("sat", "cnf_path"))
-        else:
-            text = resources.files("flowcond").joinpath("data/example5.cnf").read_text()
-            formula = satgadget.parse_dimacs(text)
-        report = satgadget.conditional_sat_demo(
-            formula, eps=cfg.getfloat("sat", "eps", 0.25),
-            big_m=cfg.getfloat("sat", "m_scale") if cfg.has("sat", "m_scale")
-            else None,
-            tau=cfg.getfloat("sat", "tau", 0.5), sampler_budget=budget,
-            rng=stream_rng(cfg.seed, "sat-demo"))
-    except satgadget.GadgetError as e:
-        if e.field is None:
-            raise
-        raise ConfigError(_SAT_KEYS[e.field], str(e)) from e
+    if cfg.has("sat", "cnf_path"):
+        formula = satgadget.load_dimacs(cfg.get("sat", "cnf_path"))
+    else:
+        text = resources.files("flowcond").joinpath("data/example5.cnf").read_text()
+        formula = satgadget.parse_dimacs(text)
+    report = satgadget.conditional_sat_demo(
+        formula, eps=cfg.getfloat("sat", "eps", 0.25),
+        big_m=cfg.getfloat("sat", "m_scale") if cfg.has("sat", "m_scale")
+        else None,
+        tau=cfg.getfloat("sat", "tau", 0.5), sampler_budget=budget,
+        rng=stream_rng(cfg.seed, "sat-demo"))
     (out / "report.txt").write_text(report.to_text(), encoding="ascii")
     exact = str(report.corner_check_exact).lower()
     return (f"sat-demo: d={formula.num_vars} m={formula.num_clauses} "
@@ -403,6 +417,37 @@ COMMANDS = {
     "sigma-sweep": cmd_sigma_sweep,
     "sat-demo": cmd_sat_demo,
 }
+
+
+# the config key of each library argument that an error names in its
+# ``field`` (BaselineError, GadgetError, MeasurementError, TrainingError)
+_FIELD_KEYS = {
+    "learning_rate": "train.learning_rate", "num_steps": "train.num_steps",
+    "batch_size": "train.batch_size", "sigma": "train.sigma",
+    "gradient_clip_norm": "train.gradient_clip_norm",
+    "indices": "measure.indices", "m": "measure.m",
+    "step_size": "lmc.step_size", "chain_length": "lmc.chain_length",
+    "burn_in": "lmc.burn_in", "thinning": "lmc.thinning",
+    "n_chains": "lmc.n_chains",
+    "steps": "point.steps", "restarts": "point.restarts",
+    "lam": "point.lambda",
+    "formula": "sat.cnf_path", "eps": "sat.eps", "big_m": "sat.m_scale",
+    "tau": "sat.tau",
+}
+# the arguments that a command reads from another key
+_COMMAND_FIELD_KEYS = {
+    "ivom": {"learning_rate": "point.lr"},
+    "csgm": {"learning_rate": "point.lr"},
+    "sigma-sweep": {"sigma": "sweep.sigmas"},
+}
+
+
+def _config_key(command: str, cfg: RunConfig, error: Exception) -> str | None:
+    """The config key behind a library error that names its argument."""
+    field = getattr(error, "field", None)
+    if field == "indices" and cfg.has("measure", "mask_path"):
+        return "measure.mask_path"
+    return _COMMAND_FIELD_KEYS.get(command, {}).get(field, _FIELD_KEYS.get(field))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,6 +476,10 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
+        key = _config_key(args.command, cfg, e)
+        if key is not None:
+            print(f"config error: {key}: {e}", file=sys.stderr)
+            return 2
         trace_path = Path(cfg.output_dir) / "error-trace.txt"
         try:
             trace_path.write_text(traceback.format_exc(), encoding="utf-8")

@@ -24,7 +24,6 @@ __all__ = [
     "check_gradients",
     "concat",
     "matmul",
-    "split",
     "take",
 ]
 
@@ -121,12 +120,6 @@ class Node:
         out = np.exp(self.value)
         return Node(self.graph, out, (self,), lambda g: (g * out,))
 
-    def log(self):
-        if not np.all(self.value > 0.0):
-            raise DomainError("log: non-positive operand")
-        return Node(self.graph, np.log(self.value), (self,),
-                    lambda g, v=self.value: (g / v,))
-
     def tanh(self):
         out = np.tanh(self.value)
         return Node(self.graph, out, (self,), lambda g: (g * (1.0 - out * out),))
@@ -205,28 +198,6 @@ def concat(nodes, axis: int = 0) -> Node:
         return tuple(parts)
 
     return Node(graph, out, tuple(nodes), vjp)
-
-
-def split(a: Node, sizes, axis: int = 0) -> list[Node]:
-    sizes = list(sizes)
-    if sum(sizes) != a.value.shape[axis]:
-        raise ShapeMismatch("split", a.value.shape, tuple(sizes))
-    parts = []
-    off = 0
-    for s in sizes:
-        sl = [slice(None)] * a.value.ndim
-        sl[axis] = slice(off, off + s)
-        sl = tuple(sl)
-        val = a.value[sl].copy()
-
-        def vjp(g, a=a, sl=sl):
-            z = np.zeros(a.value.shape)
-            z[sl] = g
-            return (z,)
-
-        parts.append(Node(a.graph, val, (a,), vjp))
-        off += s
-    return parts
 
 
 def take(a: Node, indices, axis: int = 0, *, distinct: bool = False,

@@ -1,8 +1,10 @@
 """Differentiable linear forward operators.
 
-Every operator provides ``apply`` (arrays), ``apply_node`` (tape), and
-``vjp`` (the adjoint A^T u).  The matrix-backed kinds route arrays through
-the same row-batch matmul as the tape path, so both paths agree bit for bit.
+Every operator provides ``apply`` (arrays) and ``apply_node`` (tape); the
+adjoint A^T u is the tape's backward pass through ``apply_node``, the one
+that every loss and baseline gradient uses.  The matrix-backed kinds route
+arrays through the same row-batch matmul as the tape path, so both paths
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from . import diffengine as de
 
 
 class MeasurementError(ValueError):
-    pass
+    """An operator or observation that cannot be built; ``field`` names the
+    argument at fault, when one is."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 def _as_rows(x, dim, what):
@@ -39,9 +46,6 @@ class MeasurementOp:
     def apply(self, x):
         raise NotImplementedError
 
-    def vjp(self, x, u):
-        raise NotImplementedError
-
     def apply_node(self, x: de.Node) -> de.Node:
         raise NotImplementedError
 
@@ -54,11 +58,13 @@ class MaskOp(MeasurementOp):
     def __init__(self, indices, input_dim: int):
         idx = np.asarray(indices, dtype=np.intp)
         if idx.ndim != 1 or len(idx) == 0:
-            raise MeasurementError("mask: need a non-empty 1-d index set")
+            raise MeasurementError("mask: need a non-empty 1-d index set",
+                                   "indices")
         if len(np.unique(idx)) != len(idx):
-            raise MeasurementError("mask: duplicate indices")
+            raise MeasurementError("mask: duplicate indices", "indices")
         if idx.min() < 0 or idx.max() >= input_dim:
-            raise MeasurementError("mask: index out of range")
+            raise MeasurementError(
+                f"mask: indices must lie in 0..{input_dim - 1}", "indices")
         self.indices = idx
         self.input_dim = int(input_dim)
         self.output_dim = len(idx)
@@ -67,14 +73,6 @@ class MaskOp(MeasurementOp):
         rows, single = _as_rows(x, self.input_dim, "apply")
         out = rows[:, self.indices]
         return out[0] if single else out
-
-    def vjp(self, x, u):
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (self.output_dim,):
-            raise MeasurementError(f"vjp: expected ({self.output_dim},), got {u.shape}")
-        out = np.zeros(self.input_dim)
-        out[self.indices] = u
-        return out
 
     def apply_node(self, x):
         return de.take(x, self.indices, axis=1, distinct=True)
@@ -92,12 +90,6 @@ class _MatrixOp(MeasurementOp):
         out = rows @ self.matrix.T
         return out[0] if single else out
 
-    def vjp(self, x, u):
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (self.output_dim,):
-            raise MeasurementError(f"vjp: expected ({self.output_dim},), got {u.shape}")
-        return self.matrix.T @ u
-
     def apply_node(self, x):
         return de.matmul(x, x.graph.constant(self.matrix.T))
 
@@ -108,8 +100,10 @@ class GaussianOp(_MatrixOp):
     kind = "gaussian"
 
     def __init__(self, seed: int, m: int, d: int):
-        if m < 1 or d < 1:
-            raise MeasurementError("gaussian: need m >= 1 and d >= 1")
+        if m < 1:
+            raise MeasurementError("gaussian: need m >= 1", "m")
+        if d < 1:
+            raise MeasurementError("gaussian: need d >= 1")
         rng = np.random.default_rng(seed)
         super().__init__(rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, d)))
         self.seed = int(seed)

@@ -255,15 +255,6 @@ def compile_gadget(formula: CnfFormula, eps: float,
     return SatGadget(formula=formula, eps=eps, big_m=big_m)
 
 
-def decode_assignment(x, eps: float):
-    """The unique +-1 corner within eps of x per coordinate, or None."""
-    arr = np.asarray(x, dtype=np.float64)
-    corner = np.where(arr > 0.0, 1.0, -1.0)
-    if np.all(np.abs(arr - corner) < eps):
-        return corner
-    return None
-
-
 # ---------------------------------------------------------------------------
 # The wrapping flow and the conditional demo
 # ---------------------------------------------------------------------------

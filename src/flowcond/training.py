@@ -11,6 +11,7 @@ reproducible regardless of call interleaving.
 from __future__ import annotations
 
 import itertools
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -24,7 +25,12 @@ from .objective import SmoothingSpec, svi_loss_nodes
 
 
 class TrainingError(ValueError):
-    pass
+    """A driver that cannot run; ``field`` names the setting at fault, when
+    one is."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class TrainingDiverged(RuntimeError):
@@ -54,12 +60,20 @@ class TrainConfig:
     gradient_clip_norm: float | None = 100.0
 
     def __post_init__(self):
+        # a rate or clip <= 0 would freeze or reverse every step
+        if not 0.0 < self.learning_rate < math.inf:
+            raise TrainingError("learning_rate must be a finite number > 0",
+                                "learning_rate")
+        clip = self.gradient_clip_norm
+        if clip is not None and not 0.0 < clip < math.inf:
+            raise TrainingError("gradient_clip_norm must be a finite number "
+                                "> 0, or None", "gradient_clip_norm")
         if self.num_steps < 0:
-            raise TrainingError("num_steps must be >= 0")
+            raise TrainingError("num_steps must be >= 0", "num_steps")
         if self.batch_size < 1:
-            raise TrainingError("batch_size must be >= 1")
+            raise TrainingError("batch_size must be >= 1", "batch_size")
         if not (self.sigma > 0.0):
-            raise TrainingError("sigma must be positive")
+            raise TrainingError("sigma must be positive", "sigma")
 
 
 @dataclass
@@ -147,8 +161,7 @@ def default_pre_generator(dim: int, seed: int) -> FlowModel:
                      hidden_layers=2, rng=stream_rng(seed, "pregen-init"))
 
 
-def _fit(vector, params, config: TrainConfig, step_loss,
-         step_callback=None) -> TrainTrace:
+def _fit(vector, params, config: TrainConfig, step_loss) -> TrainTrace:
     """The optimizer loop every driver shares: Adam on the flat ``vector``
     for ``config.num_steps`` steps.  ``params`` are the arrays the losses
     bind, views that tile ``vector`` in order; their gradients are written
@@ -159,8 +172,7 @@ def _fit(vector, params, config: TrainConfig, step_loss,
     ``step_loss(bind, step)`` builds step ``step``'s objective on a fresh
     graph through ``bind`` and returns ``(loss node, (kl, penalty, total))``;
     the triple is the trace row.  A non-finite total raises
-    :class:`TrainingDiverged` with the rows so far.  ``step_callback(step)``,
-    when given, runs after every update.
+    :class:`TrainingDiverged` with the rows so far.
     """
     adam = AdamState(params, config.learning_rate)
     grad = np.zeros_like(vector)
@@ -176,8 +188,6 @@ def _fit(vector, params, config: TrainConfig, step_loss,
         norm = clip_gradients(grad, grads, config.gradient_clip_norm, squares)
         trace.append(step, kl, pen, total, norm)
         adam.update(vector, grad)
-        if step_callback is not None:
-            step_callback(step)
         # nodes point at their graph: emptying it frees the step's tape now,
         # where the cyclic collector would keep many steps' tapes alive
         bind.graph.nodes.clear()
@@ -251,13 +261,11 @@ def train_amortized(base: FlowModel, conditional_pre_generator: FlowModel,
     return pre
 
 
-def train_base_mle(flow: FlowModel, dataset, config: TrainConfig,
-                   step_callback=None):
+def train_base_mle(flow: FlowModel, dataset, config: TrainConfig):
     """Maximum-likelihood training on a (n, d) sample matrix.
 
     Trace rows carry the negative log-likelihood in nats per dimension in
     the ``total`` column (kl/penalty columns are zero for this driver).
-    ``step_callback(step, flow)`` runs after every step's update.
     """
     data = np.asarray(getattr(dataset, "samples", dataset), dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != flow.dim:
@@ -270,5 +278,4 @@ def train_base_mle(flow: FlowModel, dataset, config: TrainConfig,
         loss = -1.0 * (gaussian_logpdf_node(z) + ld_inv).mean()
         return loss, (0.0, 0.0, float(loss.value) / flow.dim)
 
-    hook = None if step_callback is None else lambda step: step_callback(step, flow)
-    return flow, _fit(flow.vector, flow.parameters(), config, step_loss, hook)
+    return flow, _fit(flow.vector, flow.parameters(), config, step_loss)

@@ -56,6 +56,12 @@ def _reassemble(layer, xc, yo):
     return de.take(de.concat([xc, yo], axis=1), order, axis=1)
 
 
+def _halves(h, k):
+    """The shift and raw-scale columns of a conditioner output."""
+    return (de.take(h, np.arange(k), axis=1, distinct=True),
+            de.take(h, np.arange(k, 2 * k), axis=1, distinct=True))
+
+
 def coupling_forward_node(layer, bind, x, context=None):
     xc = de.take(x, layer.idx_cond, axis=1)
     xo = de.take(x, layer.idx_out, axis=1)
@@ -63,7 +69,7 @@ def coupling_forward_node(layer, bind, x, context=None):
     if layer.kind == "additive":
         return _reassemble(layer, xc, xo + h), None
     k = len(layer.idx_out)
-    shift, raw = de.split(h, [k, k], axis=1)
+    shift, raw = _halves(h, k)
     log_scale = math.log(SCALE_LIMIT) * raw.tanh()
     yo = xo * log_scale.exp() + shift
     return _reassemble(layer, xc, yo), log_scale.sum(axis=1)
@@ -76,7 +82,7 @@ def coupling_inverse_node(layer, bind, y, context=None):
     if layer.kind == "additive":
         return _reassemble(layer, yc, yo - h), None
     k = len(layer.idx_out)
-    shift, raw = de.split(h, [k, k], axis=1)
+    shift, raw = _halves(h, k)
     log_scale = math.log(SCALE_LIMIT) * raw.tanh()
     xo = (yo - shift) * (-1.0 * log_scale).exp()
     return _reassemble(layer, yc, xo), -1.0 * log_scale.sum(axis=1)

@@ -474,6 +474,50 @@ sigma = 0
         assert "config error: train.sigma" in capsys.readouterr().err
 
 
+# (command, config, overrides, the key the error names): inputs that
+# must exit 2 before any output but the manifest
+BAD_INPUTS = [
+    # [train]: a rate or a clip <= 0 froze or reversed every step
+    ("train-base", "base", ["train.learning_rate=0"], "train.learning_rate"),
+    ("train-base", "base", ["train.learning_rate=-1e-3"],
+     "train.learning_rate"),
+    ("train-base", "base", ["train.learning_rate=inf"], "train.learning_rate"),
+    ("infer", "infer", ["train.learning_rate=nan"], "train.learning_rate"),
+    ("train-base", "base", ["train.gradient_clip_norm=-1"],
+     "train.gradient_clip_norm"),
+    ("infer", "infer", ["train.gradient_clip_norm=0"],
+     "train.gradient_clip_norm"),
+    ("train-base", "base", ["train.gradient_clip_norm=inf"],
+     "train.gradient_clip_norm"),
+    ("train-base", "base", ["train.gradient_clip_norm=big"],
+     "train.gradient_clip_norm"),
+    ("train-base", "base", ["train.batch_size=0"], "train.batch_size"),
+    ("infer", "infer", ["train.num_steps=-1"], "train.num_steps"),
+    ("sigma-sweep", "infer", ["sweep.sigmas=0.1,-1"], "sweep.sigmas"),
+    ("ivom", "infer", ["point.lr=0", "point.steps=5"], "point.lr"),
+    ("csgm", "infer", ["point.lr=-0.02", "point.steps=5"], "point.lr"),
+    # [model]
+    ("train-base", "base", ["model.kind=spline"], "model.kind"),
+    ("amortize", "infer", ["model.kind=spline"], "model.kind"),
+    ("train-base", "base", ["model.hidden_width=0"], "model.hidden_width"),
+    ("train-base", "base", ["model.num_layers=0"], "model.num_layers"),
+    ("train-base", "base", ["model.hidden_layers=-1"], "model.hidden_layers"),
+    # the problem (d = 2)
+    ("infer", "infer", ["measure.indices=0,0"], "measure.indices"),
+    ("infer", "infer", ["measure.indices=2"], "measure.indices"),
+    ("lmc", "lmc", ["measure.indices=-1"], "measure.indices"),
+    ("infer", "infer", ["measure.mask_path={mask}"], "measure.mask_path"),
+    ("infer", "infer", ["measure.kind=gaussian", "measure.m=0"], "measure.m"),
+    ("ivom", "infer", ["point.steps=-1"], "point.steps"),
+    ("csgm", "infer", ["point.restarts=0", "point.steps=5"],
+     "point.restarts"),
+    ("csgm", "infer", ["point.lambda=-5", "point.steps=5"], "point.lambda"),
+    ("sigma-sweep", "infer", ["sweep.eval_samples=0"], "sweep.eval_samples"),
+    ("infer", "infer", ["sample.n=0"], "sample.n"),
+    ("infer", "infer", ["observe.noise_sigma=-0.1"], "observe.noise_sigma"),
+]
+
+
 class TestExitCodes:
     def test_config_error_is_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "bad.cfg", f"""
@@ -568,6 +612,28 @@ budget = 500
         assert main(["sat-demo", "--config", cfg, "--set", target]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
         assert not (tmp_path / "sat").exists()
+
+    @pytest.mark.parametrize("command, config, sets, key", BAD_INPUTS, ids=[
+        f"{command}:{','.join(sets)}" for command, _, sets, _ in BAD_INPUTS])
+    def test_bad_input_is_exit_2_naming_its_key(self, tmp_path, request,
+                                                capsys, command, config,
+                                                sets, key):
+        if config == "base":
+            cfg = base_config(tmp_path)
+        else:
+            ckpt = request.getfixturevalue("trained_base")
+            cfg = (infer_config if config == "infer" else lmc_config)(
+                tmp_path, ckpt)
+        mask = tmp_path / "mask.txt"
+        mask.write_text("0\n0\n")
+        out = tmp_path / "bad"
+        argv = [command, "--config", cfg, "--set", f"run.output_dir={out}"]
+        for setting in sets:
+            argv += ["--set", setting.format(mask=mask)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt"]
 
     @pytest.mark.parametrize("argv", [["bogus", "--config", "run.cfg"],
                                       ["infer"]],

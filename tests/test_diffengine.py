@@ -29,13 +29,6 @@ class TestForwardValues:
         g = de.Graph()
         assert scalar(g.leaf([0.5, -0.5]).tanh().sum()) == 0.0
 
-    def test_concat_split_roundtrip(self):
-        g = de.Graph()
-        a = g.leaf(np.arange(6.0).reshape(2, 3))
-        parts = de.split(a, [1, 2], axis=1)
-        back = de.concat(parts, axis=1)
-        np.testing.assert_array_equal(back.value, a.value)
-
     def test_take_selects_index_set(self):
         g = de.Graph()
         out = de.take(g.leaf([5.0, 7.0, 9.0]), [0, 2])
@@ -57,11 +50,6 @@ class TestErrors:
         g = de.Graph()
         with pytest.raises(de.ShapeMismatch, match="matmul"):
             de.matmul(g.leaf(np.ones((2, 3))), g.leaf(np.ones((2, 3))))
-
-    def test_log_domain_error(self):
-        g = de.Graph()
-        with pytest.raises(de.DomainError):
-            g.leaf([1.0, -0.5]).log()
 
     def test_backward_requires_scalar(self):
         g = de.Graph()
@@ -189,12 +177,10 @@ class TestGradientChecks:
             "mean": lambda x: x.mean(),
             "mean_axis": lambda x: x.mean(axis=0).square().sum(),
             "exp": lambda x: x.exp().sum(),
-            "log": lambda x: (x.square() + x.graph.constant(np.ones_like(point))).log().sum(),
             "tanh": lambda x: x.tanh().sum(),
             "relu": lambda x: x.relu().sum(),
             "square": lambda x: x.square().sum(),
             "concat": lambda x: de.concat([x, x.square()], axis=1).tanh().sum(),
-            "split": lambda x: de.split(x, [1, 3], axis=1)[1].square().sum(),
             "take": lambda x: de.take(x, [2, 0], axis=1).square().sum(),
         }
         for name, fn in cases.items():

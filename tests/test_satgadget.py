@@ -1,5 +1,5 @@
 """Gadget tests: the bump function's exact values, corner correctness
-against brute-force CNF evaluation, the wrapping flow, decoding, DIMACS,
+against brute-force CNF evaluation, the wrapping flow, DIMACS,
 the sparse evaluation against the dense network, and the conditioning demo
 against independent oracles."""
 
@@ -10,9 +10,8 @@ import pytest
 
 from flowcond.satgadget import (CnfFormula, GadgetError, GadgetFlow,
                                 SatGadget, all_corners, compile_gadget,
-                                conditional_sat_demo, decode_assignment,
-                                default_output_scale, delta_eps,
-                                load_dimacs, parse_dimacs,
+                                conditional_sat_demo, default_output_scale,
+                                delta_eps, load_dimacs, parse_dimacs,
                                 random_satisfiable_formula, save_dimacs,
                                 to_dimacs, transformed_var, _std_normal_tail)
 from tests.flow_reference import dense_gadget_eval, gadget_neurons
@@ -181,21 +180,6 @@ class TestEvalAgainstDenseNetwork:
         assert g.eval(x) == dense_gadget_eval(g, x[None, :])[0] == 5.0
         with pytest.raises(GadgetError, match="width"):
             g.eval(np.ones((2, 4)))
-
-
-class TestDecode:
-    def test_within_eps_rounds(self):
-        out = decode_assignment(np.array([0.95, -1.02]), 0.1)
-        np.testing.assert_array_equal(out, [1.0, -1.0])
-
-    def test_far_coordinate_fails(self):
-        assert decode_assignment(np.array([0.5, 1.0]), 0.1) is None
-
-    def test_corners_are_fixed_points(self):
-        for d in (2, 4, 6):
-            for corner in all_corners(d):
-                np.testing.assert_array_equal(
-                    decode_assignment(corner, 0.25), corner)
 
 
 class TestGadgetFlow:
