@@ -37,6 +37,7 @@ import numpy as np
 
 from .flows import (CouplingLayer, DiagonalAffine, FlowError, FlowModel, Mlp,
                     Permutation)
+from .training import TrainConfig, TrainingError
 
 CHECKPOINT_MAGIC = b"FLWC"
 ARRAY_MAGIC = b"FLWA"
@@ -392,63 +393,139 @@ def _render_bumps(bumps, yy, xx):
 # run configuration
 # ---------------------------------------------------------------------------
 
-_PATH_KEYS = ("path", "mask_path", "y_path", "gt_path", "cnf_path",
-              "base_checkpoint", "conditional_checkpoint", "samples_path")
+@dataclass(frozen=True)
+class Key:
+    """One run-config key.  ``type`` names how its text parses, or lists the
+    values it may take; ``default`` is config text, and a key without one is
+    required where a command reads it.  A key that feeds a library argument
+    names it in ``arg``; commands pass the argument only when the key is
+    set, so the library's default and check are the only ones.  ``least``
+    is the bound the CLI checks, where no library checks the value."""
+
+    type: str | tuple[str, ...]
+    default: str | None = None
+    least: int | None = None
+    arg: str | None = None
+
+
+def _items(parse):
+    return lambda raw: [parse(tok) for tok in raw.split(",") if tok.strip()]
+
+
+# the parser of each type's text
+_TYPES = {"int": int, "float": float, "ints": _items(int),
+          "floats": _items(float), "str": str, "path": str,
+          "float|none": lambda raw: None if raw.lower() == "none" else float(raw)}
+
+# every key a run file may set; README's "Config keys" list documents each
+KEYS = {
+    ("run", "output_dir"): Key("str"),
+    ("run", "seed"): Key("int", "0"),
+    # accepted and never read; perfbench/plan.py and checks.py still write it
+    ("run", "task"): Key("str"),
+    ("data", "kind"): Key(("two-moons", "gaussian-mixture", "checkerboard",
+                           "blobs", "image-grid"), "gaussian-mixture"),
+    ("data", "n"): Key("int", "4000", least=1),
+    ("data", "seed"): Key("int"),           # default: the run seed
+    ("data", "height"): Key("int", arg="height"),
+    ("data", "width"): Key("int", arg="width"),
+    ("data", "path"): Key("path"),
+    ("model", "num_layers"): Key("int", least=1, arg="num_layers"),
+    ("model", "hidden_width"): Key("int", least=1, arg="hidden_width"),
+    ("model", "hidden_layers"): Key("int", least=0, arg="hidden_layers"),
+    ("model", "kind"): Key(("additive", "affine"), arg="kind"),
+    ("model", "base_checkpoint"): Key("path"),
+    ("model", "conditional_checkpoint"): Key("path"),
+    ("measure", "kind"): Key(("mask", "gaussian", "downsample2x",
+                              "grayscale")),
+    ("measure", "indices"): Key("ints", arg="indices"),
+    ("measure", "mask_path"): Key("path", arg="indices"),
+    ("measure", "m"): Key("int", arg="m"),
+    ("measure", "gauss_seed"): Key("int", "1"),
+    ("observe", "source"): Key(("synthetic", "file"), "synthetic"),
+    ("observe", "index"): Key("int", "0", least=0),
+    ("observe", "seed"): Key("int"),        # default: the run seed + 1000
+    ("observe", "noise_sigma"): Key("float", least=0, arg="noise_sigma"),
+    ("observe", "y_path"): Key("path"),
+    ("observe", "gt_path"): Key("path"),
+    ("train", "learning_rate"): Key("float", arg="learning_rate"),
+    ("train", "num_steps"): Key("int", arg="num_steps"),
+    ("train", "batch_size"): Key("int", arg="batch_size"),
+    ("train", "sigma"): Key("float", arg="sigma"),
+    ("train", "gradient_clip_norm"): Key("float|none",
+                                         arg="gradient_clip_norm"),
+    ("lmc", "step_size"): Key("float", arg="step_size"),
+    ("lmc", "chain_length"): Key("int", arg="chain_length"),
+    ("lmc", "burn_in"): Key("int", arg="burn_in"),
+    ("lmc", "thinning"): Key("int", arg="thinning"),
+    ("lmc", "n_chains"): Key("int", arg="n_chains"),
+    ("point", "lr"): Key("float", arg="lr"),
+    ("point", "steps"): Key("int", arg="steps"),
+    ("point", "lambda"): Key("float", arg="lam"),
+    ("point", "restarts"): Key("int", arg="restarts"),
+    ("sample", "n"): Key("int", "1000", least=1),
+    ("sweep", "sigmas"): Key("floats", "1,0.1,0.01,1e-3,1e-4", arg="sigma"),
+    ("sweep", "eval_samples"): Key("int", "2000", least=1),
+    ("eval", "samples_path"): Key("path"),
+    ("eval", "gt_path"): Key("path"),
+    ("eval", "y_path"): Key("path"),
+    ("eval", "marginals"): Key("ints", ""),
+    ("sat", "cnf_path"): Key("path", arg="formula"),
+    ("sat", "eps"): Key("float", arg="eps"),
+    ("sat", "tau"): Key("float", arg="tau"),
+    ("sat", "m_scale"): Key("float", arg="big_m"),
+    ("sat", "budget"): Key("int", least=1, arg="sampler_budget"),
+}
 
 
 class RunConfig:
-    """Typed access to a flat sections-of-key=value run file."""
+    """Typed reads of a flat sections-of-key=value run file, each key
+    parsed and checked as :data:`KEYS` declares it."""
 
     def __init__(self, parser: configparser.ConfigParser, path: str,
                  overrides: tuple[str, ...] = ()):
         self._cp = parser
         self.path = path
         self.overrides = overrides
-        self.output_dir = self.get("run", "output_dir")
-        if not self.output_dir:
-            raise ConfigError("run.output_dir", "is required")
-        self.seed = self.getint("run", "seed", 0)
-
-    # -- raw getters -------------------------------------------------------
-
-    def get(self, section: str, key: str, default: str | None = None) -> str:
-        if self._cp.has_option(section, key):
-            return self._cp.get(section, key).strip()
-        if default is None:
-            raise ConfigError(f"{section}.{key}", "is required")
-        return default
+        self.output_dir = self.read("run", "output_dir")
+        self.seed = self.read("run", "seed")
 
     def has(self, section: str, key: str) -> bool:
-        return self._cp.has_option(section, key) and \
-            self._cp.get(section, key).strip() != ""
+        """Whether the file sets ``section.key``, a key the table lists."""
+        if (section, key) not in KEYS:
+            raise KeyError(f"{section}.{key} is not in the config table")
+        return self._cp.has_option(section, key)
 
-    def getint(self, section, key, default=None):
-        raw = self.get(section, key, None if default is None else str(default))
+    def read(self, section: str, key: str):
+        """``section.key`` parsed as its type (its default when unset),
+        within the bound the table gives it."""
+        name, spec = f"{section}.{key}", KEYS[section, key]
+        if self._cp.has_option(section, key):
+            raw = self._cp.get(section, key).strip()
+        elif spec.default is None:
+            raise ConfigError(name, "is required")
+        else:
+            raw = spec.default
+        if isinstance(spec.type, tuple):
+            if raw not in spec.type:
+                raise ConfigError(name, f"expected one of "
+                                  f"{' | '.join(spec.type)}, got {raw!r}")
+            return raw
         try:
-            return int(raw)
+            value = _TYPES[spec.type](raw)
         except ValueError:
-            raise ConfigError(f"{section}.{key}", f"expected integer, got {raw!r}")
+            raise ConfigError(name, f"expected {spec.type}, got {raw!r}") from None
+        if spec.least is not None and not spec.least <= value < np.inf:
+            finite = "" if spec.type == "int" else "a finite number "
+            raise ConfigError(name, f"must be {finite}>= {spec.least}")
+        return value
 
-    def getfloat(self, section, key, default=None):
-        raw = self.get(section, key, None if default is None else repr(default))
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}", f"expected number, got {raw!r}")
-
-    def getfloats(self, section, key, default=None):
-        raw = self.get(section, key, default)
-        try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"{section}.{key}", f"expected comma floats, got {raw!r}")
-
-    def getints(self, section, key, default=None):
-        raw = self.get(section, key, default)
-        try:
-            return [int(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"{section}.{key}", f"expected comma ints, got {raw!r}")
+    def args(self, section: str, *keys: str) -> dict:
+        """The library arguments that ``keys`` of ``section`` feed (all of
+        its keys that feed one, when none are named), for the keys set."""
+        keys = keys or [k for s, k in KEYS if s == section and KEYS[s, k].arg]
+        return {KEYS[section, k].arg: self.read(section, k)
+                for k in keys if self.has(section, k)}
 
     def canonical_text(self) -> str:
         buf = io.StringIO()
@@ -481,16 +558,24 @@ def load_run_config(path, overrides=()) -> RunConfig:
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value.strip())
-    cfg = RunConfig(parser, str(path), tuple(overrides))
-    # referenced paths must exist up front
+    # a misspelled key would run with its default; a key is left out, not
+    # left empty, to take its default; referenced paths must exist up front
     for section in parser.sections():
-        for key in parser.options(section):
-            if key in _PATH_KEYS and parser.get(section, key).strip():
-                p = parser.get(section, key).strip()
-                if not os.path.exists(p):
-                    raise ConfigError(f"{section}.{key}", f"path does not exist: {p}")
-    if not cfg.getfloat("train", "sigma", 0.1) > 0.0:
-        raise ConfigError("train.sigma", "must be positive")
+        for key, raw in parser.items(section):
+            name, raw = f"{section}.{key}", raw.strip()
+            if (section, key) not in KEYS:
+                raise ConfigError(name, "unknown key")
+            if not raw:
+                raise ConfigError(name, "empty value (leave the key out to "
+                                  "take its default)")
+            if KEYS[section, key].type == "path" and not os.path.exists(raw):
+                raise ConfigError(name, f"path does not exist: {raw}")
+    cfg = RunConfig(parser, str(path), tuple(overrides))
+    # every command's config is checked for the smoothing width it may use
+    try:
+        TrainConfig(**cfg.args("train", "sigma"))
+    except TrainingError as e:
+        raise ConfigError("train.sigma", str(e)) from None
     return cfg
 
 

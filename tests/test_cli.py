@@ -1,8 +1,8 @@
 """End-to-end CLI tests with tiny budgets: every subcommand runs, writes
 its artifacts and manifest, honors exit-code conventions, and reproduces
 its outputs bit-for-bit under a fixed seed; every inference command
-accepts the same problem configs, and README's config-key list matches the
-keys the code reads, and so do its examples."""
+accepts the same problem configs, and README's config-key list and its
+examples match the table of keys a run file may set."""
 
 import configparser
 import os
@@ -15,7 +15,7 @@ import pytest
 
 from flowcond.cli import main
 from flowcond.flows import CouplingLayer
-from flowcond.persist import load_array, load_checkpoint, save_array
+from flowcond.persist import KEYS, load_array, load_checkpoint, save_array
 
 
 def write_cfg(path, text):
@@ -598,6 +598,12 @@ seed = bogus
         ("train.=1", "override"), ("train.sigma", "override"),
         # surrounding spaces are stripped: this sets train.sigma
         ("train .sigma=0", "train.sigma"),
+        # a misspelled key or section would run with the default
+        ("train.sigmaa=0", "train.sigmaa: unknown key"),
+        ("Train.sigma=0", "Train.sigma: unknown key"),
+        # an empty value is no way to take a default or turn the clip off
+        ("train.gradient_clip_norm=", "train.gradient_clip_norm: empty value"),
+        ("eval.gt_path=", "eval.gt_path: empty value"),
     ])
     def test_malformed_override_is_exit_2(self, tmp_path, capsys, target,
                                           field):
@@ -611,6 +617,18 @@ budget = 500
 """)
         assert main(["sat-demo", "--config", cfg, "--set", target]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "sat").exists()
+
+    def test_unknown_section_in_config_file_is_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "sat.cfg", f"""
+[run]
+output_dir = {tmp_path / "sat"}
+
+[sta]
+budget = 500
+""")
+        assert main(["sat-demo", "--config", cfg]) == 2
+        assert "config error: sta.budget: unknown key" in capsys.readouterr().err
         assert not (tmp_path / "sat").exists()
 
     @pytest.mark.parametrize("command, config, sets, key", BAD_INPUTS, ids=[
@@ -875,19 +893,8 @@ class TestProblemConfigs:
 
 
 # ---------------------------------------------------------------------------
-# the README's config-key list matches the keys the code reads
+# the README's config-key list matches the table of keys
 # ---------------------------------------------------------------------------
-
-def code_config_keys():
-    """(section, key) pairs read through RunConfig getters in cli and persist."""
-    from flowcond import cli, persist
-    getter = re.compile(r'\.(?:get|getint|getfloat|getfloats|getints|has)\(\s*'
-                        r'"(\w+)",\s*"(\w+)"')
-    pairs = set()
-    for module in (cli, persist):
-        pairs |= set(getter.findall(Path(module.__file__).read_text()))
-    return pairs
-
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -917,30 +924,18 @@ def readme_example_keys():
 
 class TestConfigKeysDocumented:
     def test_scanners_see_known_keys(self):
-        for pairs in (code_config_keys(), readme_config_keys()):
-            assert {("run", "output_dir"), ("train", "gradient_clip_norm"),
-                    ("data", "height"), ("sat", "m_scale")} <= pairs
+        for pairs in (set(KEYS), readme_config_keys()):
+            assert {("run", "output_dir"), ("run", "task"),
+                    ("train", "gradient_clip_norm"), ("data", "height"),
+                    ("sat", "m_scale")} <= pairs
 
     def test_every_read_key_is_documented(self):
-        assert code_config_keys() - readme_config_keys() == set()
+        assert set(KEYS) - readme_config_keys() == set()
 
     def test_every_documented_key_is_read(self):
-        assert readme_config_keys() - code_config_keys() == set()
-
-    def test_every_config_read_names_its_key(self):
-        # a section or key passed in a variable would escape both scanners
-        from flowcond import cli, persist
-        call = re.compile(r'\bcfg\.(?:get|getint|getfloat|getfloats|getints|has)'
-                          r'\(\s*([^,)]*),\s*([^,)]*)')
-        calls = []
-        for module in (cli, persist):
-            calls += call.findall(Path(module.__file__).read_text())
-        assert len(calls) > 40
-        for section, key in calls:
-            assert re.fullmatch(r'"\w+"', section), section
-            assert re.fullmatch(r'"\w+"', key), key
+        assert readme_config_keys() - set(KEYS) == set()
 
     def test_readme_examples_use_read_keys(self):
         example = readme_example_keys()
         assert {("run", "output_dir"), ("train", "sigma")} <= example
-        assert example - code_config_keys() == set()
+        assert example - set(KEYS) == set()

@@ -430,16 +430,24 @@ class TestRunConfig:
         cfg_path.write_text(CONFIG.format(out=tmp_path / "out"))
         cfg = load_run_config(cfg_path)
         assert cfg.seed == 3
-        assert cfg.getint("train", "num_steps") == 2
-        assert cfg.getfloat("train", "sigma") == 0.1
-        assert cfg.getints("measure", "indices") == [0]
+        assert cfg.read("train", "num_steps") == 2
+        assert cfg.read("train", "sigma") == 0.1
+        assert cfg.read("measure", "indices") == [0]
 
     def test_overrides(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(CONFIG.format(out=tmp_path / "out"))
         cfg = load_run_config(cfg_path, ("train.num_steps=9", "run.seed=4"))
-        assert cfg.getint("train", "num_steps") == 9
+        assert cfg.read("train", "num_steps") == 9
         assert cfg.seed == 4
+
+    def test_read_of_a_key_outside_the_table_fails_loudly(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(CONFIG.format(out=tmp_path / "out"))
+        cfg = load_run_config(cfg_path)
+        for read in (cfg.read, cfg.has, cfg.args):
+            with pytest.raises(KeyError):
+                read("train", "sigmaa")
 
     def test_field_level_errors(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
