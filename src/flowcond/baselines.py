@@ -192,7 +192,7 @@ def _best_latent(base, obs, starts, lr, steps, lam) -> PointEstimate:
                 loss = loss + lam * zn.square().sum()
             return loss, (0.0, 0.0, float(loss.value))
 
-        _fit(z.reshape(-1), [z], config, step_loss)
+        _fit(z, [z], config, step_loss)
         finals.append(latent_objective(base, obs, z, lam))
     best = min(range(len(finals)), key=finals.__getitem__)
     x_hat = base.forward(starts[best])[0][0]

@@ -56,6 +56,12 @@ class Graph:
     def constant(self, value) -> "Node":
         return self.leaf(value, param=False)
 
+    def view(self, array: np.ndarray) -> "Node":
+        """Record the float64 ``array`` as a parameter leaf without copying
+        it: the leaf holds a read-only view, so the array's owner may still
+        update it once the graph is done with."""
+        return Node(self, array.view(), (), None, is_param=True)
+
 
 class Node:
     """One tape entry: a value plus the local backward rule."""
@@ -200,15 +206,13 @@ def concat(nodes, axis: int = 0) -> Node:
     return Node(graph, out, tuple(nodes), vjp)
 
 
-def take(a: Node, indices, axis: int = 0, *, distinct: bool = False,
-         inverse=None) -> Node:
+def take(a: Node, indices, axis: int = 0, *, distinct: bool = False) -> Node:
     """Select along ``axis`` by an index set; the adjoint scatter-adds back.
 
     A caller whose indices are distinct by construction says so, and
-    nothing is checked per call: with ``distinct`` the adjoint is an
-    assignment into zeros; with ``inverse``, the inverse of a permutation
-    ``indices`` of the axis, it is the gather by that inverse.  Either has
-    the bits of the scatter-add, ``0.0 + g`` (which turns -0.0 into 0.0).
+    nothing is checked per call: the adjoint is then an assignment into
+    zeros, with the bits of the scatter-add, ``0.0 + g`` (which turns -0.0
+    into 0.0).
     """
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
@@ -217,10 +221,6 @@ def take(a: Node, indices, axis: int = 0, *, distinct: bool = False,
     shape = a.value.shape
 
     def vjp(g):
-        if inverse is not None:
-            z = np.take(g, inverse, axis=axis)
-            z += 0.0
-            return (z,)
         z = np.zeros(shape)
         sl = [slice(None)] * len(shape)
         sl[axis] = idx

@@ -12,17 +12,25 @@ biases, diagonal scales and shifts -- in one contiguous float64 vector,
 in checkpoint descriptor order, and each layer holds views of it.  That
 vector is a checkpoint's blob, and the optimizer steps it as a whole.
 
-Every layer has two forms of each pass.  ``forward_array``/``inverse_array``
-are plain numpy: :meth:`FlowModel.forward`, ``inverse``, ``log_prob``,
-``sample`` and all of :class:`ComposedSampler` use them, so no graph is
-built where no gradient is taken.  ``forward_node``/``inverse_node`` put
-the same arithmetic on the diffengine tape for the losses: a coupling
-layer records one gather, one conditioner node and one coupling node, each
-with a hand-written vector-Jacobian product (the additive/affine coupling
-Jacobians of RealNVP, Dinh et al., arXiv:1605.08803).  Both forms give the
-same values bit for bit.  Passed ``bind=None``, a tape pass treats the
-weights as constants and computes no weight gradients, which is how the
-frozen base runs inside the losses.
+Every pass has two forms.  ``forward_array``/``inverse_array`` are plain
+numpy: :meth:`FlowModel.forward`, ``inverse``, ``log_prob``, ``sample`` and
+all of :class:`ComposedSampler` use them, so no graph is built where no
+gradient is taken.  :meth:`FlowModel.forward_node`/``inverse_node`` put a
+whole pass on the diffengine tape for the losses as one node, whose
+parents are the input, the context and one leaf for the model's whole
+vector, and two nodes that read its output and its log-det.  Each layer's
+``forward_node``/``inverse_node`` computes its part of that pass on arrays
+and returns a hand-written vector-Jacobian product (the additive/affine
+coupling Jacobians of RealNVP, Dinh et al., arXiv:1605.08803); the node's
+adjoint walks them in reverse and writes the weight gradients straight
+into views of one flat gradient.  Passed ``bind=None``, a tape pass
+treats the weights as constants, records no weight leaf and computes no
+weight gradients, which is how the frozen base runs inside the losses.
+
+The two forms agree to rounding.  They differ only in the memory layout
+of their gathers, which BLAS reads at a speed and, for small matmuls,
+with a rounding that depend on it: :meth:`FlowModel.forward_as_tape` gives
+the tape's values bit for bit without a tape.
 """
 
 from __future__ import annotations
@@ -75,33 +83,61 @@ def flat_views(vector: np.ndarray, arrays) -> list[np.ndarray]:
 
 
 class ParamBinder:
-    """One graph leaf per distinct parameter array, cached by identity."""
+    """The parameter leaves of one graph: one per array bound (a flow's
+    :attr:`FlowModel.vector`, or a latent point), recorded on the first
+    call and cached by identity.  A leaf is a read-only view of its array,
+    not a copy.
 
-    def __init__(self, graph: de.Graph):
+    Made with ``vector`` and its flat gradient ``grad``, the binder hands
+    ``grad`` to the first pass that differentiates ``vector`` (see
+    :meth:`buffer`), which writes the gradient straight into it.
+    """
+
+    def __init__(self, graph: de.Graph, vector: np.ndarray | None = None,
+                 grad: np.ndarray | None = None):
         self.graph = graph
-        self._leaves: dict[int, de.Node] = {}
-        self._keep: list[np.ndarray] = []
+        self._bound: dict[int, tuple] = {}
+        self._out = (vector, grad)
 
-    def __call__(self, arr: np.ndarray) -> de.Node:
-        node = self._leaves.get(id(arr))
-        if node is None:
-            node = self.graph.leaf(arr)
-            self._leaves[id(arr)] = node
-            self._keep.append(arr)
-        return node
+    def __call__(self, arr: np.ndarray, views=None) -> de.Node:
+        """The leaf of ``arr``; ``views`` are the arrays that tile it in
+        order, whose gradients :meth:`gradients` then aligns."""
+        entry = self._bound.get(id(arr))
+        if entry is None:
+            entry = (arr, self.graph.view(arr), views)
+            self._bound[id(arr)] = entry
+        return entry[1]
+
+    def buffer(self, arr: np.ndarray) -> np.ndarray:
+        """An array for a backward pass to write the gradient of the bound
+        ``arr`` into: the binder's ``grad`` the first time ``arr`` is its
+        ``vector``, a new array otherwise (backward then sums the two)."""
+        vector, grad = self._out
+        if arr is vector and grad is not None:
+            self._out = (None, None)
+            return grad
+        return np.empty(arr.shape)
 
     def gradients(self, grad_map, params, out=None) -> list[np.ndarray]:
         """Align a backward() gradient map with a parameter list: each
-        array's gradient, zero where it has none, written into ``out``
-        (arrays shaped like ``params``; new ones when not given)."""
+        array's gradient (a bound array's own, or the part of a bound
+        vector's that its view covers), zero where it has none, written
+        into ``out`` (arrays shaped like ``params``; new ones when not
+        given).  Nothing is copied where ``out`` already is the gradient."""
+        found = {id(arr): grad_map[leaf] for arr, leaf, _ in self._bound.values()}
+        if not all(id(p) in found for p in params):
+            for _, leaf, views in self._bound.values():
+                if views is not None:
+                    found.update(zip(map(id, views),
+                                     flat_views(grad_map[leaf], views)))
         if out is None:
             out = [np.empty_like(p) for p in params]
-        for p, g in zip(params, out):
-            node = self._leaves.get(id(p))
-            if node is None or node not in grad_map:
-                g.fill(0.0)
-            else:
-                g[...] = grad_map[node]
+        for p, o in zip(params, out):
+            g = found.get(id(p))
+            if g is None:
+                o.fill(0.0)
+            elif g is not o:
+                o[...] = g
         return out
 
 
@@ -154,43 +190,32 @@ class Mlp:
     def forward_array(self, x: np.ndarray) -> np.ndarray:
         return self._run(x, self.weights, self.biases)
 
-    def forward_node(self, bind: ParamBinder | None, x: de.Node,
-                     context: de.Node | None = None) -> de.Node:
-        """The whole network as one tape node on the input ``[x, context]``.
-
-        With a binder the node's parents include the bound weights and its
-        vector-Jacobian product returns their gradients; with ``bind=None``
-        the weights are constants and only the inputs get adjoints.
-        """
-        inputs = (x,) if context is None else (x, context)
-        inp = x.value if context is None else \
-            np.concatenate([x.value, context.value], axis=1)
-        if bind is None:
-            leaves = ()
-            weights, biases = self.weights, self.biases
-        else:
-            leaves = tuple(bind(p) for p in self.weights + self.biases)
-            values = [leaf.value for leaf in leaves]
-            weights, biases = values[:len(self.weights)], values[len(self.weights):]
+    def forward_node(self, x: np.ndarray, params=None):
+        """The network on the array ``x`` for a flow's tape node: the output
+        and its vector-Jacobian product.  ``params`` are the weights then
+        the biases (the network's own when None).  ``vjp(g, grads)``
+        returns the adjoint of ``x`` and, given ``grads`` (arrays shaped
+        like :meth:`parameters`), writes the weight and bias gradients
+        into them."""
+        n = len(self.weights)
+        weights, biases = ((self.weights, self.biases) if params is None
+                           else (params[:n], params[n:]))
         acts = []
-        out = self._run(inp, weights, biases, acts)
-        ones = np.ones((inp.shape[0], 1))
-        width = x.value.shape[1]
+        out = self._run(x, weights, biases, acts)
 
-        def vjp(g):
-            grad_w, grad_b = [], []
-            for i in reversed(range(len(weights))):
+        def vjp(g, grads=None):
+            ones = None if grads is None else np.ones((1, g.shape[0]))
+            for i in reversed(range(n)):
                 a = acts[i]
-                if leaves:
-                    grad_w.append(a.T @ g)
-                    grad_b.append(ones.T @ g)
+                if grads is not None:
+                    np.matmul(a.T, g, out=grads[i])
+                    np.matmul(ones, g, out=grads[n + i])
                 g = g @ weights[i].T
                 if i > 0:
                     g = g * (1.0 - a * a)
-            g_in = (g,) if context is None else (g[:, :width], g[:, width:])
-            return g_in + tuple(reversed(grad_w)) + tuple(reversed(grad_b))
+            return g
 
-        return de.Node(x.graph, out, inputs + leaves, vjp)
+        return out, vjp
 
 
 class Permutation:
@@ -214,11 +239,22 @@ class Permutation:
     def inverse_array(self, y, context=None):
         return y[:, self.inv], None
 
-    def forward_node(self, bind, x, context=None):
-        return de.take(x, self.perm, axis=1, inverse=self.inv), None
+    # the tape passes of FlowModel: output, log-det (none) and adjoint
 
-    def inverse_node(self, bind, y, context=None):
-        return de.take(y, self.inv, axis=1, inverse=self.perm), None
+    def forward_node(self, x, context=None, params=None):
+        return np.take(x, self.perm, axis=1), None, _gather_vjp(self.inv)
+
+    def inverse_node(self, y, context=None, params=None):
+        return np.take(y, self.inv, axis=1), None, _gather_vjp(self.perm)
+
+
+def _gather_vjp(index):
+    def vjp(g_y, g_ld, grads):
+        g = np.take(g_y, index, axis=1)
+        g += 0.0    # -0.0 to 0.0, as accumulating onto zeros does
+        return g, None
+
+    return vjp
 
 
 def reversal(dim: int) -> Permutation:
@@ -259,19 +295,22 @@ class DiagonalAffine:
     def inverse_array(self, y, context=None):
         return (y - self.shift) * (1.0 / self.scale), np.full(y.shape[0], -self.logdet)
 
-    def forward_node(self, bind, x, context=None):
-        n = x.value.shape[0]
-        s = x.graph.constant(np.tile(self.scale, (n, 1)))
-        t = x.graph.constant(np.tile(self.shift, (n, 1)))
-        ld = x.graph.constant(np.full(n, self.logdet))
-        return x * s + t, ld
+    # the tape passes of FlowModel; the state is a constant, its gradient 0
 
-    def inverse_node(self, bind, y, context=None):
-        n = y.value.shape[0]
-        s = y.graph.constant(np.tile(1.0 / self.scale, (n, 1)))
-        t = y.graph.constant(np.tile(self.shift, (n, 1)))
-        ld = y.graph.constant(np.full(n, -self.logdet))
-        return (y - t) * s, ld
+    def forward_node(self, x, context=None, params=None):
+        return self.forward_array(x) + (self._vjp(self.scale),)
+
+    def inverse_node(self, y, context=None, params=None):
+        return self.inverse_array(y) + (self._vjp(1.0 / self.scale),)
+
+    @staticmethod
+    def _vjp(factor):
+        def vjp(g_y, g_ld, grads):
+            for g in grads or ():
+                g.fill(0.0)
+            return g_y * factor, None
+
+        return vjp
 
 
 class CouplingLayer:
@@ -351,53 +390,52 @@ class CouplingLayer:
         xo, ld, _ = self._couple(y[:, self.idx_out], h, inverse=True)
         return self._assemble(yc, xo), ld
 
-    def forward_node(self, bind, x, context=None):
-        return self._coupling_node(bind, x, context, inverse=False)
+    def forward_node(self, x, context=None, params=None):
+        return self._pass(x, context, params, inverse=False)
 
-    def inverse_node(self, bind, y, context=None):
-        return self._coupling_node(bind, y, context, inverse=True)
+    def inverse_node(self, y, context=None, params=None):
+        return self._pass(y, context, params, inverse=True)
 
-    def _coupling_node(self, bind, x, context, inverse):
-        """One pass on the tape: the gather of the conditioning half, the
-        conditioner node and one coupling node.  For affine layers the
-        coupling node's value is the output with the log-det appended as a
-        last column, and the pass returns two nodes that read it."""
-        if self.context_width and context is None:
-            raise FlowError("conditional layer evaluated without context")
-        xc = de.take(x, self.idx_cond, axis=1, distinct=True)
-        h = self.conditioner.forward_node(
-            bind, xc, context if self.context_width else None)
-        yo, ld, saved = self._couple(x.value[:, self.idx_out], h.value, inverse)
-        y = self._assemble(xc.value, yo)
+    def _pass(self, x, context, params, inverse):
+        """One pass on arrays for a flow's tape node: the output, the
+        log-det (None when additive) and ``vjp(g_y, g_ld, grads)``, which
+        returns the adjoints of ``x`` and of the context (None without
+        one) and writes the conditioner's gradients into ``grads`` when
+        given.  The products, sums and memory layouts are those of the
+        per-op path (tests/flow_reference.py), in its order."""
+        xc = np.take(x, self.idx_cond, axis=1)
+        h, net_vjp = self.conditioner.forward_node(
+            self._net_input(xc, context), params)
+        yo, ld, saved = self._couple(x[:, self.idx_out], h, inverse)
+        y = self._assemble(xc, yo)
         idx_cond, idx_out = self.idx_cond, self.idx_out
         n, d = y.shape
+        kc = len(idx_cond)
 
-        def input_adjoints(g_y, g_xo):
-            g_x = np.zeros((n, d))
-            # + 0.0 makes -0.0 into 0.0, as accumulating onto zeros does
-            g_x[:, idx_out] = g_xo + 0.0
-            return g_x, g_y[:, idx_cond]
+        def adjoints(g_y, g_xo, g_h, grads):
+            g_in = net_vjp(g_h, grads)
+            g_x = np.empty((n, d))
+            g_x[:, idx_out] = g_xo
+            g_x[:, idx_cond] = g_y[:, idx_cond] + g_in[:, :kc]
+            g_x += 0.0    # -0.0 to 0.0, as accumulating onto zeros does
+            return g_x, (g_in[:, kc:] if self.context_width else None)
 
         if saved is None:
-            kc = len(idx_cond)
-
-            def vjp(g):
-                # The conditioner's adjoint keeps the memory layout of the
-                # per-op path (tests/flow_reference.py), a column block of an
-                # (n, d) array: the matmuls of its backward pass round
-                # differently on a contiguous copy.
+            def vjp(g_y, g_ld, grads):
+                # the conditioner's adjoint keeps the memory layout of the
+                # per-op path, a column block of an (n, d) array: the
+                # matmuls of its backward pass round differently on a
+                # contiguous copy
                 g_o = np.empty((n, d))[:, kc:]
-                g_o[...] = g[:, idx_out]
-                return input_adjoints(g, g_o) + ((-g_o if inverse else g_o),)
+                g_o[...] = g_y[:, idx_out]
+                return adjoints(g_y, g_o, (-g_o if inverse else g_o), grads)
 
-            return de.Node(x.graph, y, (x, xc, h), vjp), None
+            return y, None, vjp
 
         t, factor, operand = saved
         log_limit = math.log(SCALE_LIMIT)
 
-        def vjp(g):
-            # products and sums in the order of the per-op path
-            g_y, g_ld = g[:, :d], g[:, d]
+        def vjp(g_y, g_ld, grads):
             g_o = g_y[:, idx_out]
             g_xo = g_o * factor
             if inverse:
@@ -407,15 +445,13 @@ class CouplingLayer:
                 g_shift = g_o
                 g_ls = (g_o * operand) * factor + g_ld[:, None]
             g_raw = (log_limit * g_ls) * (1.0 - t * t)
-            return input_adjoints(g_y, g_xo) + \
-                (np.concatenate([g_shift, g_raw], axis=1),)
+            return adjoints(g_y, g_xo, np.concatenate([g_shift, g_raw], axis=1),
+                            grads)
 
-        node = de.Node(x.graph, np.concatenate([y, ld[:, None]], axis=1),
-                       (x, xc, h), vjp)
-        return _column_node(node, y, slice(0, d)), _column_node(node, ld, d)
+        return y, ld, vjp
 
 
-def _column_node(node, value, columns):
+def _read_columns(node, value, columns):
     """A tape node reading ``node.value[:, columns]``; ``value`` is that
     slice, computed by the caller."""
     def vjp(g):
@@ -466,13 +502,15 @@ class FlowModel:
             raise FlowError(f"parameter vector must hold {size} values")
         else:
             views = flat_views(vector, arrays)
-        i = 0
+        self._spans, i = [], 0
         for layer in self.layers:
             k = len(layer.state_arrays())
             layer.set_state(views[i:i + k])
+            self._spans.append(slice(i, i + k))
             i += k
         self._vector = vector
         self._views = views
+        self._grad_views = (None, None)
 
     @property
     def vector(self) -> np.ndarray:
@@ -496,22 +534,85 @@ class FlowModel:
 
     # ---- tape passes; bind=None treats the weights as constants ----
 
-    def _node_pass(self, bind, node, context, inverse):
-        out, ld = node, None
-        for layer in (reversed(self.layers) if inverse else self.layers):
-            out, l = (layer.inverse_node if inverse else layer.forward_node)(
-                bind, out, context)
+    def _layer_views(self, flat):
+        """Views of a flat array laid out like :attr:`vector`, shaped like
+        the layers' state arrays and grouped by layer."""
+        views = flat_views(flat, self._views)
+        return [views[span] for span in self._spans]
+
+    def _gradient_views(self, flat):
+        # a training step hands the same flat gradient every step
+        held, views = self._grad_views
+        if held is not flat:
+            views = self._layer_views(flat)
+            self._grad_views = (flat, views)
+        return views
+
+    def _tape_arrays(self, x, ctx, states, inverse):
+        """The arithmetic of a tape pass on arrays: the output, the log-det
+        and each layer's vector-Jacobian product, in the order run."""
+        order = range(len(self.layers))
+        out, ld, vjps = x, None, []
+        for i in (reversed(order) if inverse else order):
+            out, l, vjp = (self.layers[i].inverse_node if inverse
+                           else self.layers[i].forward_node)(out, ctx, states[i])
+            vjps.append((i, vjp))
             if l is not None:
                 ld = l if ld is None else ld + l
-        if ld is None:
-            ld = out.graph.constant(np.zeros(out.value.shape[0]))
-        return out, ld
+        return out, (np.zeros(out.shape[0]) if ld is None else ld), vjps
+
+    def _node_pass(self, bind, node, context, inverse):
+        """One tape node for the whole pass, and the nodes that read its
+        output and its log-det.  The weights are the layers' own arrays,
+        or, where the bound leaf is not a view of :attr:`vector` (a
+        gradient check's perturbed copy), views of the leaf's value."""
+        leaf = None if bind is None else bind(self._vector, self._views)
+        if leaf is None or leaf.value.base is self._vector:
+            states = [None] * len(self.layers)
+        else:
+            states = self._layer_views(leaf.value)
+        ctx = None if context is None else context.value
+        out, ld, vjps = self._tape_arrays(node.value, ctx, states, inverse)
+        d = out.shape[1]
+
+        def flow_vjp(g):
+            g_y, g_ld = g[:, :d], g[:, d]
+            if leaf is not None:
+                flat = bind.buffer(self._vector)
+                grads = self._gradient_views(flat)
+            g_ctx = None
+            for i, vjp in reversed(vjps):
+                g_y, g_c = vjp(g_y, g_ld, None if leaf is None else grads[i])
+                if g_c is not None:
+                    # summed over the layers in the order of the per-op tape
+                    g_ctx = g_c if g_ctx is None else g_ctx + g_c
+            adjoints = (g_y,)
+            if context is not None:
+                adjoints += (np.zeros(ctx.shape) if g_ctx is None else g_ctx,)
+            return adjoints if leaf is None else adjoints + (flat,)
+
+        parents = ((node,) + (() if context is None else (context,))
+                   + (() if leaf is None else (leaf,)))
+        flow = de.Node(node.graph, np.concatenate([out, ld[:, None]], axis=1),
+                       parents, flow_vjp)
+        return _read_columns(flow, out, slice(0, d)), _read_columns(flow, ld, d)
 
     def forward_node(self, bind, z: de.Node, context: de.Node | None = None):
         return self._node_pass(bind, z, context, inverse=False)
 
     def inverse_node(self, bind, x: de.Node, context: de.Node | None = None):
         return self._node_pass(bind, x, context, inverse=True)
+
+    def forward_as_tape(self, z, context=None):
+        """The values :meth:`forward_node` records, bit for bit, computed on
+        a (n, d) batch without a tape.  :meth:`forward` agrees with them to
+        rounding only: its gathers ``x[:, index]`` give F-ordered arrays,
+        which the next matmul reads faster at large batches, but rounds
+        differently on at small ones, than the tape's C-ordered ``np.take``."""
+        arr, _ = _as_batch(z, self.dim, "forward_as_tape")
+        out, ld, _ = self._tape_arrays(arr, self._context(context, arr.shape[0]),
+                                       [None] * len(self.layers), inverse=False)
+        return out, ld
 
     def _context(self, context, n):
         if self.context_width == 0:

@@ -2,9 +2,9 @@
 
 Every operator provides ``apply`` (arrays) and ``apply_node`` (tape); the
 adjoint A^T u is the tape's backward pass through ``apply_node``, the one
-that every loss and baseline gradient uses.  The matrix-backed kinds route
-arrays through the same row-batch matmul as the tape path, so both paths
-agree bit for bit.
+that every loss and baseline gradient uses.  Each kind routes arrays
+through the same operation as its tape path (a gather by ``np.take``, or
+the row-batch matmul), so both paths agree bit for bit.
 """
 
 from __future__ import annotations
@@ -71,7 +71,9 @@ class MaskOp(MeasurementOp):
 
     def apply(self, x):
         rows, single = _as_rows(x, self.input_dim, "apply")
-        out = rows[:, self.indices]
+        # np.take, as apply_node: its C-ordered rows are summed in the
+        # order the tape sums them, where x[:, indices]'s are not
+        out = np.take(rows, self.indices, axis=1)
         return out[0] if single else out
 
     def apply_node(self, x):

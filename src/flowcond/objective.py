@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffengine as de
-from .flows import ComposedSampler, ParamBinder, gaussian_logpdf_node
+from .flows import (ComposedSampler, ParamBinder, gaussian_logpdf,
+                    gaussian_logpdf_node)
 from .measurement import Observation
 
 
@@ -72,23 +73,31 @@ def latent_kl_terms_node(bind: ParamBinder, cs: ComposedSampler, eps_node: de.No
     return terms, z
 
 
+def _latent_kl_terms(cs: ComposedSampler, eps: np.ndarray):
+    """:func:`latent_kl_terms_node`'s values, bit for bit, without a tape."""
+    z, ld_pre = cs.pre.forward_as_tape(eps, cs.context)
+    return gaussian_logpdf(eps) - ld_pre - gaussian_logpdf(z), z
+
+
 def latent_kl_estimate(cs: ComposedSampler, eps_batch) -> float:
     """Monte Carlo estimate of KL(q_z || p_z) on a fixed eps batch."""
-    eps = _eps_batch(eps_batch, cs.dim)
-    g = de.Graph()
-    terms, _ = latent_kl_terms_node(ParamBinder(g), cs, g.constant(eps))
-    est = float(terms.mean().value)
+    terms, _ = _latent_kl_terms(cs, _eps_batch(eps_batch, cs.dim))
+    est = float(np.mean(terms))
     if not np.isfinite(est):
         raise ObjectiveError("non-finite KL estimate")
     return est
 
 
-def svi_loss_nodes(bind: ParamBinder, cs: ComposedSampler, obs: Observation,
-                   smoothing: SmoothingSpec, eps: np.ndarray):
-    """Tape nodes (kl, penalty, total) for one reparametrized batch."""
+def _check_operator(cs: ComposedSampler, obs: Observation):
     if obs.op.input_dim != cs.dim:
         raise ObjectiveError(
             f"operator input dim {obs.op.input_dim} != flow dim {cs.dim}")
+
+
+def svi_loss_nodes(bind: ParamBinder, cs: ComposedSampler, obs: Observation,
+                   smoothing: SmoothingSpec, eps: np.ndarray):
+    """Tape nodes (kl, penalty, total) for one reparametrized batch."""
+    _check_operator(cs, obs)
     terms, z = latent_kl_terms_node(bind, cs, bind.graph.constant(eps))
     kl = terms.mean()
     x, _ = cs.base.forward_node(None, z)
@@ -98,9 +107,12 @@ def svi_loss_nodes(bind: ParamBinder, cs: ComposedSampler, obs: Observation,
 
 def svi_loss(cs: ComposedSampler, obs: Observation, smoothing: SmoothingSpec,
              eps_batch) -> LossBreakdown:
+    """:func:`svi_loss_nodes`'s values, bit for bit, without a tape."""
     eps = _eps_batch(eps_batch, cs.dim)
-    kl, pen, _ = svi_loss_nodes(ParamBinder(de.Graph()), cs, obs, smoothing, eps)
-    out = LossBreakdown.of(float(kl.value), float(pen.value))
+    _check_operator(cs, obs)
+    terms, z = _latent_kl_terms(cs, eps)
+    pen = smoothing.beta * np.mean(obs.residual(cs.base.forward_as_tape(z)[0]))
+    out = LossBreakdown.of(float(np.mean(terms)), float(pen))
     if not math.isfinite(out.total):
         raise ObjectiveError("non-finite loss")
     return out

@@ -162,12 +162,14 @@ def default_pre_generator(dim: int, seed: int) -> FlowModel:
 
 
 def _fit(vector, params, config: TrainConfig, step_loss) -> TrainTrace:
-    """The optimizer loop every driver shares: Adam on the flat ``vector``
-    for ``config.num_steps`` steps.  ``params`` are the arrays the losses
-    bind, views that tile ``vector`` in order; their gradients are written
-    into one flat gradient of the same layout.  An array the losses never
-    bind (a diagonal layer's scale or shift) gets zero gradients, which
-    leave it unchanged.
+    """The optimizer loop every driver shares: Adam on ``vector`` for
+    ``config.num_steps`` steps.  ``vector`` is the array the losses bind
+    (a flow's :attr:`~flowcond.flows.FlowModel.vector`, or a latent
+    point), and ``params`` are the arrays that tile it in order.  Each
+    step's binder hands the backward pass one flat gradient shaped like
+    ``vector``, which a flow pass writes straight into; a part that no
+    pass differentiates (a diagonal layer's scale or shift) is zero, and
+    leaves its values unchanged.
 
     ``step_loss(bind, step)`` builds step ``step``'s objective on a fresh
     graph through ``bind`` and returns ``(loss node, (kl, penalty, total))``;
@@ -176,18 +178,20 @@ def _fit(vector, params, config: TrainConfig, step_loss) -> TrainTrace:
     """
     adam = AdamState(params, config.learning_rate)
     grad = np.zeros_like(vector)
-    squares = np.empty_like(vector)
-    grads = flat_views(grad, params)
+    flat, flat_grad = vector.reshape(-1), grad.reshape(-1)
+    squares = np.empty_like(flat)
+    grads = flat_views(flat_grad, params)
     trace = TrainTrace()
     for step in range(config.num_steps):
-        bind = ParamBinder(de.Graph())
+        bind = ParamBinder(de.Graph(), vector, grad)
         loss, (kl, pen, total) = step_loss(bind, step)
         if not np.isfinite(total):
             raise TrainingDiverged(step, trace)
-        bind.gradients(de.backward(bind.graph, loss), params, grads)
-        norm = clip_gradients(grad, grads, config.gradient_clip_norm, squares)
+        bind.gradients(de.backward(bind.graph, loss), [vector], [grad])
+        norm = clip_gradients(flat_grad, grads, config.gradient_clip_norm,
+                              squares)
         trace.append(step, kl, pen, total, norm)
-        adam.update(vector, grad)
+        adam.update(flat, flat_grad)
         # nodes point at their graph: emptying it frees the step's tape now,
         # where the cyclic collector would keep many steps' tapes alive
         bind.graph.nodes.clear()

@@ -1,18 +1,20 @@
-"""The per-op tape path of the conditioner and the coupling layer, and
-the per-array optimizer.
+"""The per-op tape path of the flows, and the per-array optimizer.
 
-Each tape function records the pass one elementary tape operation at a
-time, as the package did before its passes became fused tape nodes with
-hand-written vector-Jacobian products.  The tests hold the fused ops and
-the plain-numpy passes to these, bit for bit, and :func:`use_reference`
-swaps them in for whole-driver comparisons.  :func:`clip_gradients` and
-:class:`AdamState` loop over the parameter arrays one at a time, as the
-optimizer did before it stepped one flat vector;
-:func:`use_reference_optimizer` swaps them in.  :func:`gadget_neurons` and
-:func:`dense_gadget_eval` evaluate the 3-SAT gadget as the dense network it
-is defined as: all seven pattern neurons of every clause, on every row.
-:func:`blob_images_reference` renders the blob dataset one image at a
-time with scalar draws, as the package did before it rendered in blocks.
+Each tape function records a pass one elementary tape operation at a
+time, as the package did before a flow's pass became one tape node with a
+hand-written vector-Jacobian product: a coupling layer as gathers, the
+conditioner's matmuls, the coupling arithmetic and a reassembly, each
+weight array as a slice of the bound parameter vector.  The tests hold
+the whole-flow tape node and the plain-numpy passes to these, bit for bit,
+and :func:`use_reference` swaps them in for whole-driver comparisons.
+:func:`clip_gradients` and :class:`AdamState` loop over the parameter
+arrays one at a time, as the optimizer did before it stepped one flat
+vector; :func:`use_reference_optimizer` swaps them in.
+:func:`gadget_neurons` and :func:`dense_gadget_eval` evaluate the 3-SAT
+gadget as the dense network it is defined as: all seven pattern neurons of
+every clause, on every row.  :func:`blob_images_reference` renders the
+blob dataset one image at a time with scalar draws, as the package did
+before it rendered in blocks.
 """
 
 import math
@@ -21,34 +23,30 @@ import numpy as np
 
 from flowcond import diffengine as de
 from flowcond import training
-from flowcond.flows import (SCALE_LIMIT, CouplingLayer, FlowError, Mlp,
-                            flat_views)
+from flowcond.flows import (SCALE_LIMIT, CouplingLayer, FlowError, FlowModel,
+                            Permutation, flat_views)
 from flowcond.satgadget import delta_eps, transformed_var
 
 
-def _param(bind, graph, arr):
-    return graph.constant(arr) if bind is None else bind(arr)
-
-
-def mlp_forward_node(mlp, bind, x, context=None):
-    if context is not None:
-        x = de.concat([x, context], axis=1)
+def mlp_forward_node(mlp, params, x):
+    """The conditioner on node ``x``; ``params`` are nodes of its weights
+    then its biases."""
+    n = len(mlp.weights)
     ones = x.graph.constant(np.ones((x.value.shape[0], 1)))
     h = x
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = (de.matmul(h, _param(bind, x.graph, w))
-             + de.matmul(ones, _param(bind, x.graph, b)))
-        if i < len(mlp.weights) - 1:
+    for i, (w, b) in enumerate(zip(params[:n], params[n:])):
+        h = de.matmul(h, w) + de.matmul(ones, b)
+        if i < n - 1:
             h = h.tanh()
     return h
 
 
-def _net(layer, bind, xc, context):
+def _net(layer, params, xc, context):
     if layer.context_width:
         if context is None:
             raise FlowError("conditional layer evaluated without context")
         xc = de.concat([xc, context], axis=1)
-    return mlp_forward_node(layer.conditioner, bind, xc)
+    return mlp_forward_node(layer.conditioner, params, xc)
 
 
 def _reassemble(layer, xc, yo):
@@ -62,10 +60,10 @@ def _halves(h, k):
             de.take(h, np.arange(k, 2 * k), axis=1, distinct=True))
 
 
-def coupling_forward_node(layer, bind, x, context=None):
+def coupling_forward_node(layer, params, x, context=None):
     xc = de.take(x, layer.idx_cond, axis=1)
     xo = de.take(x, layer.idx_out, axis=1)
-    h = _net(layer, bind, xc, context)
+    h = _net(layer, params, xc, context)
     if layer.kind == "additive":
         return _reassemble(layer, xc, xo + h), None
     k = len(layer.idx_out)
@@ -75,10 +73,10 @@ def coupling_forward_node(layer, bind, x, context=None):
     return _reassemble(layer, xc, yo), log_scale.sum(axis=1)
 
 
-def coupling_inverse_node(layer, bind, y, context=None):
+def coupling_inverse_node(layer, params, y, context=None):
     yc = de.take(y, layer.idx_cond, axis=1)
     yo = de.take(y, layer.idx_out, axis=1)
-    h = _net(layer, bind, yc, context)
+    h = _net(layer, params, yc, context)
     if layer.kind == "additive":
         return _reassemble(layer, yc, yo - h), None
     k = len(layer.idx_out)
@@ -88,11 +86,82 @@ def coupling_inverse_node(layer, bind, y, context=None):
     return _reassemble(layer, yc, xo), -1.0 * log_scale.sum(axis=1)
 
 
+def diagonal_forward_node(layer, x):
+    n = x.value.shape[0]
+    s = x.graph.constant(np.tile(layer.scale, (n, 1)))
+    t = x.graph.constant(np.tile(layer.shift, (n, 1)))
+    return x * s + t, x.graph.constant(np.full(n, layer.logdet))
+
+
+def diagonal_inverse_node(layer, y):
+    n = y.value.shape[0]
+    s = y.graph.constant(np.tile(1.0 / layer.scale, (n, 1)))
+    t = y.graph.constant(np.tile(layer.shift, (n, 1)))
+    return (y - t) * s, y.graph.constant(np.full(n, -layer.logdet))
+
+
+def _slice(leaf, offset, shape):
+    """A node reading one array's part of the flat vector ``leaf``."""
+    size = math.prod(shape)
+
+    def vjp(g):
+        out = np.zeros(leaf.value.shape)
+        out[offset:offset + size] = g.reshape(-1)
+        return (out,)
+
+    return de.Node(leaf.graph, leaf.value[offset:offset + size].reshape(shape),
+                   (leaf,), vjp)
+
+
+def _layer_params(flow, bind, graph):
+    """Per layer, nodes of its state arrays: constants without a binder,
+    slices of the bound vector's leaf with one."""
+    arrays = flow.parameters()
+    if bind is None:
+        nodes = [graph.constant(a) for a in arrays]
+    else:
+        leaf = bind(flow.vector, arrays)
+        offsets = np.cumsum([0] + [a.size for a in arrays])
+        nodes = [_slice(leaf, int(o), a.shape) for o, a in zip(offsets, arrays)]
+    out, i = [], 0
+    for layer in flow.layers:
+        k = len(layer.state_arrays())
+        out.append(nodes[i:i + k])
+        i += k
+    return out
+
+
+def flow_pass(flow, bind, x, context, inverse):
+    out, ld = x, None
+    layers = list(zip(flow.layers, _layer_params(flow, bind, x.graph)))
+    for layer, params in (reversed(layers) if inverse else layers):
+        if isinstance(layer, CouplingLayer):
+            step = coupling_inverse_node if inverse else coupling_forward_node
+            out, l = step(layer, params, out, context)
+        elif isinstance(layer, Permutation):
+            out, l = de.take(out, layer.inv if inverse else layer.perm, axis=1), None
+        else:
+            step = diagonal_inverse_node if inverse else diagonal_forward_node
+            out, l = step(layer, out)
+        if l is not None:
+            ld = l if ld is None else ld + l
+    if ld is None:
+        ld = out.graph.constant(np.zeros(out.value.shape[0]))
+    return out, ld
+
+
+def flow_forward_node(flow, bind, z, context=None):
+    return flow_pass(flow, bind, z, context, inverse=False)
+
+
+def flow_inverse_node(flow, bind, x, context=None):
+    return flow_pass(flow, bind, x, context, inverse=True)
+
+
 def use_reference(monkeypatch):
     """Route every tape pass through the per-op path above."""
-    monkeypatch.setattr(Mlp, "forward_node", mlp_forward_node)
-    monkeypatch.setattr(CouplingLayer, "forward_node", coupling_forward_node)
-    monkeypatch.setattr(CouplingLayer, "inverse_node", coupling_inverse_node)
+    monkeypatch.setattr(FlowModel, "forward_node", flow_forward_node)
+    monkeypatch.setattr(FlowModel, "inverse_node", flow_inverse_node)
 
 
 def clip_gradients(grad, grads, max_norm, work=None):

@@ -1,8 +1,9 @@
-"""The fused tape ops and plain-numpy passes of the flows, held to the
-per-op reference path in ``tests/flow_reference.py``: adjoints against
-central differences, values and adjoints bit for bit against the
-reference, and every driver's trace rows, parameters and outputs unchanged
-when the reference tape path, or the per-array optimizer, is swapped in."""
+"""The whole-flow tape node and the plain-numpy passes of the flows, held
+to the per-op reference path in ``tests/flow_reference.py``: adjoints of
+the input, the context and the flat weight vector against central
+differences, values and adjoints bit for bit against the reference, and
+every driver's trace rows, parameters and outputs unchanged when the
+reference tape path, or the per-array optimizer, is swapped in."""
 
 import copy
 
@@ -28,72 +29,100 @@ DIRECTIONS = pytest.mark.parametrize("inverse", [False, True],
 
 
 def coupling(kind, context_width=0, seed=0):
-    """A coupling layer on R^5 with an uneven split and random weights."""
+    """A one-layer flow on R^5: a coupling layer with an uneven split and
+    random weights."""
     rng = np.random.default_rng(seed)
     out = 3 if kind == "additive" else 6
     mlp = Mlp([2 + context_width, 8, 8, out], rng)
     for p in mlp.parameters():
         p += 0.4 * rng.standard_normal(p.shape)
-    return CouplingLayer(kind, [0, 3], [1, 2, 4], mlp, context_width)
+    layer = CouplingLayer(kind, [0, 3], [1, 2, 4], mlp, context_width)
+    return FlowModel(5, [layer], context_width)
 
 
-def scalar(layer, inverse, bind, x, context):
+class Substitute(ParamBinder):
+    """A binder whose leaf for a flow's vector is ``node``: the pass reads
+    its weights from that node's value, as a gradient check perturbs it."""
+
+    def __init__(self, node):
+        super().__init__(node.graph)
+        self.node = node
+
+    def __call__(self, arr, views=None):
+        return self.node
+
+
+def embedded(p, vector, offset):
+    """A node holding ``vector`` with the entries from ``offset`` on read
+    from the leaf ``p``: the tape of one array's part of the vector."""
+    size = p.value.size
+    value = vector.copy()
+    value[offset:offset + size] = p.value.reshape(-1)
+    return de.Node(p.graph, value, (p,),
+                   lambda g: (g[offset:offset + size].reshape(p.value.shape),))
+
+
+def scalar(flow, inverse, bind, x, context):
     """A scalar that reads every output and the log-det nonlinearly."""
     g = x.graph
-    y, ld = (layer.inverse_node if inverse else layer.forward_node)(bind, x, context)
+    y, ld = (flow.inverse_node if inverse else flow.forward_node)(bind, x, context)
     w = np.random.default_rng(1).standard_normal(y.value.shape)
     out = (y * g.constant(w)).sum() + (y.square() * g.constant(w)).sum()
-    return out if ld is None else out + ld.square().sum()
+    return out + ld.square().sum()
 
 
 POINT = np.random.default_rng(2).standard_normal((6, 5))
 CONTEXT = np.random.default_rng(3).standard_normal((6, 3))
 
 
+def context_node(graph, context_width):
+    return graph.constant(CONTEXT) if context_width else None
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("context_width", [0, 3], ids=["plain", "context"])
 @DIRECTIONS
 class TestFusedGradients:
-    def context(self, graph, context_width):
-        return graph.constant(CONTEXT) if context_width else None
+    """One coupling layer's adjoints, through a one-layer flow's node."""
 
     @pytest.mark.parametrize("binder", [True, False], ids=["binder", "no-binder"])
     def test_input(self, kind, context_width, inverse, binder):
-        layer = coupling(kind, context_width)
+        flow = coupling(kind, context_width)
 
         def fn(x):
             bind = ParamBinder(x.graph) if binder else None
-            return scalar(layer, inverse, bind, x, self.context(x.graph, context_width))
+            return scalar(flow, inverse, bind, x, context_node(x.graph, context_width))
 
         assert de.check_gradients(fn, POINT) < 1e-6
 
     @pytest.mark.parametrize("which", [0, 2, 3, 5], ids=["w0", "w2", "b0", "b2"])
     def test_weights(self, kind, context_width, inverse, which):
-        layer = coupling(kind, context_width)
-        target = layer.state_arrays()[which]
+        flow = coupling(kind, context_width)
+        arrays = flow.parameters()
+        offset = sum(a.size for a in arrays[:which])
+        vector = flow.vector.copy()
 
         def fn(p):
             g = p.graph
-            bind = lambda arr: p if arr is target else g.constant(arr)
-            return scalar(layer, inverse, bind, g.constant(POINT),
-                          self.context(g, context_width))
+            return scalar(flow, inverse, Substitute(embedded(p, vector, offset)),
+                          g.constant(POINT), context_node(g, context_width))
 
-        assert de.check_gradients(fn, target) < 1e-6
+        assert de.check_gradients(fn, arrays[which]) < 1e-6
 
     def test_no_binder_records_no_weights(self, kind, context_width, inverse):
-        layer = coupling(kind, context_width)
+        flow = coupling(kind, context_width)
         g = de.Graph()
         x = g.leaf(POINT)
-        scalar(layer, inverse, None, x, self.context(g, context_width))
+        scalar(flow, inverse, None, x, context_node(g, context_width))
         assert [n for n in g.nodes if n.is_param] == [x]
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @DIRECTIONS
 def test_context_gradient(kind, inverse):
-    layer = coupling(kind, context_width=3)
+    flow = coupling(kind, context_width=3)
     err = de.check_gradients(
-        lambda c: scalar(layer, inverse, None, c.graph.constant(POINT), c), CONTEXT)
+        lambda c: scalar(flow, inverse, None, c.graph.constant(POINT), c), CONTEXT)
     assert err < 1e-6
 
 
@@ -103,6 +132,63 @@ def stacked(kind, context_width):
                           context_width=context_width)
     head = DiagonalAffine(np.linspace(0.5, 2.0, 5), np.linspace(-1.0, 1.0, 5))
     return FlowModel(5, [head] + flow.layers, context_width)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@DIRECTIONS
+class TestWholeFlowGradients:
+    """The node of a whole stack -- a diagonal layer, couplings and
+    permutations -- against central differences."""
+
+    @pytest.mark.parametrize("context_width", [0, 3], ids=["plain", "context"])
+    def test_input(self, kind, context_width, inverse):
+        flow = stacked(kind, context_width)
+
+        def fn(x):
+            return scalar(flow, inverse, ParamBinder(x.graph), x,
+                          context_node(x.graph, context_width))
+
+        assert de.check_gradients(fn, POINT) < 1e-6
+
+    def test_context(self, kind, inverse):
+        flow = stacked(kind, 3)
+        err = de.check_gradients(
+            lambda c: scalar(flow, inverse, ParamBinder(c.graph),
+                             c.graph.constant(POINT), c), CONTEXT)
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("context_width", [0, 3], ids=["plain", "context"])
+    def test_flat_vector(self, kind, context_width, inverse):
+        # the diagonal layer's scale and shift are constants of the pass,
+        # so both sides read 0 for them
+        flow = stacked(kind, context_width)
+
+        def fn(p):
+            g = p.graph
+            return scalar(flow, inverse, Substitute(p), g.constant(POINT),
+                          context_node(g, context_width))
+
+        assert de.check_gradients(fn, flow.vector.copy()) < 1e-6
+
+    @pytest.mark.parametrize("binder", [True, False], ids=["binder", "no-binder"])
+    def test_one_node_per_pass(self, kind, inverse, binder):
+        flow = stacked(kind, 3)
+        g = de.Graph()
+        x = g.leaf(POINT)
+        ctx = g.constant(CONTEXT)
+        bind = ParamBinder(g) if binder else None
+        (flow.inverse_node if inverse else flow.forward_node)(bind, x, ctx)
+        leaves = [n for n in g.nodes if n.is_param]
+        # the input and weight leaves, the context constant, the pass node
+        # and the two nodes that read its output and its log-det
+        assert len(g.nodes) == len(leaves) + 1 + 3
+        if not binder:
+            assert leaves == [x]
+        else:
+            # one leaf for the whole vector: a read-only view, not a copy
+            assert leaves[0] is x and len(leaves) == 2
+            assert leaves[1].value.base is flow.vector
+            assert not leaves[1].value.flags.writeable
 
 
 def tape_pass(flow, inverse, binder, context_width):

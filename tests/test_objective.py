@@ -10,11 +10,11 @@ import pytest
 from flowcond import diffengine as de
 from flowcond.flows import (ComposedSampler, DiagonalAffine, FlowModel,
                             ParamBinder, make_flow)
-from flowcond.measurement import MaskOp, Observation
+from flowcond.measurement import GaussianOp, MaskOp, Observation
 from flowcond.objective import (GridError, GridSpec, LossBreakdown,
                                 ObjectiveError, SmoothingSpec,
                                 joint_vs_marginal_gap, latent_kl_estimate,
-                                svi_loss, svi_loss_nodes)
+                                latent_kl_terms_node, svi_loss, svi_loss_nodes)
 from tests.test_flows import perturbed_flow
 
 
@@ -79,6 +79,51 @@ class TestLatentKl:
         log_px = base.log_prob(xs)
         ambient = float(np.mean(log_qx - log_px))
         assert abs(latent - ambient) < 1e-9
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("dim", [4, 64])
+@pytest.mark.parametrize("op", ["mask", "gaussian"])
+@pytest.mark.parametrize("conditional", [False, True],
+                         ids=["unconditional", "conditional"])
+class TestValueOnlyLosses:
+    """The value-only losses run the array passes; they give the tape's
+    values bit for bit, also where the operator's matmul is wide enough to
+    round differently on a differently laid-out input."""
+
+    def problem(self, dim, op, conditional):
+        rng = np.random.default_rng(40)
+        head = DiagonalAffine(rng.uniform(0.5, 2.0, dim), rng.normal(0.0, 0.3, dim))
+        base = perturbed_flow(dim, "affine", seed=41, num_layers=3, hidden_width=16)
+        base = FlowModel(dim, [head] + base.layers)
+        pre = perturbed_flow(dim, "affine", seed=42, num_layers=2, hidden_width=16,
+                             scale=0.1, context_width=3 if conditional else 0)
+        context = np.array([0.2, -1.0, 0.7]) if conditional else None
+        cs = ComposedSampler(pre, base, context=context)
+        m = dim // 4
+        measure = MaskOp(np.arange(m), dim) if op == "mask" else GaussianOp(5, m, dim)
+        obs = Observation(y_star=rng.standard_normal(m), op=measure)
+        eps = rng.standard_normal((32, dim))
+        return cs, obs, eps
+
+    def test_svi_loss_matches_tape(self, dim, op, conditional):
+        cs, obs, eps = self.problem(dim, op, conditional)
+        smoothing = SmoothingSpec(0.3)
+        kl, pen, total = svi_loss_nodes(ParamBinder(de.Graph()), cs, obs,
+                                        smoothing, eps)
+        lb = svi_loss(cs, obs, smoothing, eps)
+        assert same_bits(lb.kl_term, kl.value)
+        assert same_bits(lb.penalty_term, pen.value)
+        assert same_bits(lb.total, total.value)
+
+    def test_latent_kl_estimate_matches_tape(self, dim, op, conditional):
+        cs, _, eps = self.problem(dim, op, conditional)
+        g = de.Graph()
+        terms, _ = latent_kl_terms_node(ParamBinder(g), cs, g.constant(eps))
+        assert same_bits(latent_kl_estimate(cs, eps), terms.mean().value)
 
 
 class TestSviLoss:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from flowcond import diffengine as de
-from flowcond.flows import ComposedSampler, FlowModel, flat_views, make_flow
+from flowcond.flows import (ComposedSampler, FlowModel, ParamBinder, flat_views,
+                            make_flow)
 from flowcond.measurement import MaskOp, Observation, make_observation
 from flowcond.objective import svi_loss
 from flowcond.training import (AdamState, TrainConfig, TrainingDiverged,
@@ -187,6 +188,22 @@ class TestTrainSvi:
         pre2, trace2 = train_svi(base, self.obs(), cfg)
         assert params_equal(params_snapshot(pre1), params_snapshot(pre2))
         assert trace1.rows == trace2.rows
+
+    def test_pass_writes_the_flat_gradient_in_place(self, monkeypatch):
+        # the pre-generator's pass node writes its weight gradients straight
+        # into the flat gradient that the clip and Adam step: the gradient
+        # map holds that very array, and nothing is copied into it
+        seen = []
+        gradients = ParamBinder.gradients
+
+        def spy(self, grad_map, params, out=None):
+            seen.append(sum(g is out[0] for g in grad_map.values()))
+            return gradients(self, grad_map, params, out)
+
+        monkeypatch.setattr(ParamBinder, "gradients", spy)
+        base = perturbed_flow(2, "affine", seed=7)
+        train_svi(base, self.obs(), TrainConfig(num_steps=3, batch_size=8))
+        assert seen == [1, 1, 1]
 
     def test_divergence_aborts_with_step_and_trace(self):
         base = perturbed_flow(2, "affine", seed=6)
