@@ -250,6 +250,10 @@ def cmd_amortized_infer(cfg: RunConfig, out: Path) -> str:
 
 def cmd_eval(cfg: RunConfig, out: Path) -> str:
     samples = persist.load_array(cfg.read("eval", "samples_path"))
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if len(bad):
+        raise ConfigError("eval.samples_path",
+                          f"row {bad[0]} holds a non-finite value")
     center = estimators.mmse_estimate(samples)
     n, dim = samples.shape
     coords = cfg.read("eval", "marginals")
@@ -271,11 +275,14 @@ def cmd_eval(cfg: RunConfig, out: Path) -> str:
         y = persist.load_array(cfg.read("eval", "y_path"))[0]
         obs = Observation(y_star=y, op=op)
         rows.append(("mean_residual", float(np.mean(obs.residual(samples)))))
+    marginals = [estimators.pixel_marginal(samples, coord) for coord in coords]
+    # grids whose spacing exceeds the kernel width do not resolve their KDE
+    rows.append(("coarse_marginals", float(sum(
+        pm.grid[1] - pm.grid[0] > pm.bandwidth for pm in marginals))))
     lines = ["metric,value"] + [f"{k},{v!r}" for k, v in rows]
     (out / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
-    for coord in coords:
-        pm = estimators.pixel_marginal(samples, coord)
-        estimators.export_pixel_marginal(pm, out / f"marginal_{coord}.txt")
+    for pm in marginals:
+        estimators.export_pixel_marginal(pm, out / f"marginal_{pm.coordinate}.txt")
     shown = ", ".join(f"{k}={v:.5g}" for k, v in rows[2:6])
     return f"eval: {shown} -> {out / 'metrics.csv'}"
 

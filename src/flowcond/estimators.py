@@ -22,6 +22,9 @@ _CANCELLATION = 1e-6
 # is below 1e-304
 _KDE_BLOCK = 16
 _EXP_FLOOR = -700.0
+# a kernel term left out of the KDE is at most this share, over n^2, of the
+# grid's largest kernel sum
+_KDE_DROPPED = 1e-16
 
 
 class EstimatorError(ValueError):
@@ -138,50 +141,84 @@ def silverman_bandwidth(values: np.ndarray) -> float:
 
 
 def pixel_marginal(samples, coordinate: int, bins: int = 50) -> PixelMarginal:
-    """Histogram plus Gaussian kernel density of one coordinate's draws."""
+    """Histogram plus Gaussian kernel density of one coordinate's draws.
+
+    The column is sorted once: its ends are the histogram's range, its
+    counts are the draws between ``np.histogram``'s own edges (so they are
+    that function's counts), and the KDE reads, for each block of grid
+    rows, only the draws its kernel can reach.  The mean, variance and
+    bandwidth are computed on the column as drawn.
+    """
     s = _samples(samples)
     if not 0 <= coordinate < s.shape[1]:
         raise EstimatorError(f"coordinate {coordinate} out of range")
     if bins < 2:
         raise EstimatorError("bins must be >= 2")
     v = s[:, coordinate]
-    lo, hi = float(v.min()), float(v.max())
+    ordered = np.sort(v)
+    lo, hi = float(ordered[0]), float(ordered[-1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):     # NaN sorts last
+        raise EstimatorError(f"coordinate {coordinate} holds a non-finite draw")
     if hi == lo:
         hi = lo + 1e-8
-    counts, edges = np.histogram(v, bins=bins, range=(lo, hi))
+    edges = np.histogram_bin_edges(ordered, bins=bins, range=(lo, hi))
+    # bin k holds edges[k] <= v < edges[k + 1], the last bin also its right edge
+    below = np.searchsorted(ordered, edges, side="left")
+    below[-1] = np.searchsorted(ordered, edges[-1], side="right")
     bw = silverman_bandwidth(v)
     grid = np.linspace(lo - 4.0 * bw, hi + 4.0 * bw, _GRID_POINTS)
-    return PixelMarginal(coordinate=coordinate, bin_edges=edges, counts=counts,
-                         grid=grid, density=_gaussian_kde(v, grid, bw),
+    return PixelMarginal(coordinate=coordinate, bin_edges=edges,
+                         counts=np.diff(below), grid=grid,
+                         density=_gaussian_kde(ordered, grid, bw),
                          mean=float(v.mean()), variance=float(v.var()),
                          bandwidth=bw)
 
 
-def _gaussian_kde(v: np.ndarray, grid: np.ndarray, bw: float) -> np.ndarray:
-    """mean_j exp(-(g - v_j)^2 / (2 bw^2)) / (bw sqrt(2 pi)) at each grid
-    point g, in blocks of grid rows through one reused buffer."""
+def _gaussian_kde(ordered: np.ndarray, grid: np.ndarray, bw: float) -> np.ndarray:
+    """mean_j exp(-(g - v_j)^2 / (2 bw^2)) / (bw sqrt(2 pi)) at each point g
+    of an evenly spaced grid, from draws ``ordered`` in ascending order.
+
+    Each block of grid rows sums only the contiguous run of draws within
+    R = sqrt(spacing^2 / 4 + 2 bw^2 ln(n^2 / _KDE_DROPPED)) of the block.
+    Every draw lies within spacing / 2 of a grid point, so the largest
+    kernel sum on the grid is at least exp(-spacing^2 / (8 bw^2)), and each
+    term left out is below that times _KDE_DROPPED / n^2: at any grid point
+    the n terms left out sum to at most _KDE_DROPPED / n of the grid's
+    largest density, however far out the draws or coarse the grid.
+    """
+    n = len(ordered)
+    spacing = float(grid[1] - grid[0])
+    reach = math.sqrt(0.25 * spacing * spacing
+                      + 2.0 * bw * bw * math.log(n * n / _KDE_DROPPED))
+    # the block of rows i:j reads ordered[a:z], the draws within reach of it
+    starts = np.arange(0, len(grid), _KDE_BLOCK)
+    ends = np.minimum(starts + _KDE_BLOCK, len(grid))
+    first = np.searchsorted(ordered, grid[starts] - reach, side="left")
+    stop = np.searchsorted(ordered, grid[ends - 1] + reach, side="right")
     # [g, 1] . [1, -v_j] is g - v_j rounded once, as np.subtract gives it,
     # at a third of the cost of a broadcast subtract; g - v_j is formed
     # before any scaling, so it stays exact to one rounding where |v_j| >> bw
-    ones = np.ones(len(v))
+    ones = np.ones(n)
     points = np.column_stack([grid, np.ones(len(grid))])
-    pairs = np.vstack([ones, -v])
-    lo, hi = float(v.min()), float(v.max())
+    pairs = np.vstack([ones, -ordered])
     c = -0.5 / (bw * bw)
-    density = np.empty(len(grid))
-    buf = np.empty((_KDE_BLOCK, len(v)))
-    for i in range(0, len(grid), _KDE_BLOCK):
-        rows = grid[i:i + _KDE_BLOCK]
-        block = buf[:len(rows)]
-        np.matmul(points[i:i + len(rows)], pairs, out=block)
+    density = np.zeros(len(grid))
+    buf = np.empty(_KDE_BLOCK * n)
+    for i, j, a, z in zip(starts.tolist(), ends.tolist(), first.tolist(),
+                          stop.tolist()):
+        if a == z:
+            continue
+        block = buf[:(j - i) * (z - a)].reshape(j - i, z - a)
+        np.matmul(points[i:j], pairs[:, a:z], out=block)
         np.square(block, out=block)
         block *= c
-        far = max(rows[-1] - lo, hi - rows[0])    # the block's widest |g - v_j|
+        # the block's widest |g - v_j|
+        far = max(grid[j - 1] - ordered[a], ordered[z - 1] - grid[i])
         if c * far * far < _EXP_FLOOR:
             np.maximum(block, _EXP_FLOOR, out=block)
         np.exp(block, out=block)
-        np.matmul(block, ones, out=density[i:i + len(rows)])    # row sums
-    density *= 1.0 / (len(v) * bw * math.sqrt(2.0 * math.pi))
+        np.matmul(block, ones[:z - a], out=density[i:j])    # row sums
+    density *= 1.0 / (n * bw * math.sqrt(2.0 * math.pi))
     return density
 
 

@@ -228,6 +228,47 @@ marginals = {marginals}
         written = sorted(p.name for p in (tmp_path / "metrics").iterdir())
         assert written == ["manifest.txt"]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_draw_is_exit_2_naming_its_row(self, tmp_path, bad,
+                                                       capsys):
+        samples = np.random.default_rng(0).standard_normal((20, 2))
+        samples[7, 1] = bad
+        save_array(tmp_path / "s.flwa", samples)
+        cfg = write_cfg(tmp_path / "eval.cfg", f"""
+[run]
+output_dir = {tmp_path / "metrics"}
+
+[eval]
+samples_path = {tmp_path / "s.flwa"}
+marginals = 0,1
+""")
+        assert main(["eval", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: eval.samples_path: row 7 " in err
+        written = sorted(p.name for p in (tmp_path / "metrics").iterdir())
+        assert written == ["manifest.txt"]
+
+    @pytest.mark.parametrize("column,coarse", [("normal", 0), ("far_out", 1)])
+    def test_coarse_marginals_counts_grids_wider_than_the_kernel(
+            self, tmp_path, column, coarse):
+        rng = np.random.default_rng(3)
+        v = 0.5 + 0.05 * rng.standard_normal(2000)
+        if column == "far_out":
+            v[:2] = [173.0, -90.0]
+        save_array(tmp_path / "s.flwa", np.column_stack([v, v + 1.0]))
+        cfg = write_cfg(tmp_path / "eval.cfg", f"""
+[run]
+output_dir = {tmp_path / "metrics"}
+
+[eval]
+samples_path = {tmp_path / "s.flwa"}
+marginals = 0
+""")
+        assert main(["eval", "--config", cfg]) == 0
+        metrics = (tmp_path / "metrics" / "metrics.csv").read_text()
+        rows = dict(line.split(",") for line in metrics.splitlines()[1:])
+        assert float(rows["coarse_marginals"]) == coarse
+
 
 def lmc_config(tmp_path, ckpt):
     return write_cfg(tmp_path / "lmc.cfg", f"""

@@ -1,13 +1,16 @@
 """Estimator tests: the mean-dominance identity, PSNR conventions,
 diversity normalization, and marginal histogram/KDE behavior; the blocked
-diversity and KDE against their direct formulas, the marginal export
-against its per-line writer, and the memory both stay in."""
+diversity and windowed KDE against their direct formulas, the sorted
+histogram against np.histogram, the marginal export against its per-line
+writer, and the memory both stay in."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowcond.estimators import (EstimatorError, diversity,
                                  export_pixel_marginal, mmse_estimate, mse,
@@ -45,10 +48,28 @@ def line_by_line_export(pm, path):
 
 
 def far_out_column(rng, n=2000):
-    """Pixel-like draws with two far-out values, as a brief fit gives."""
+    """Pixel-like draws with up to two far-out values, as a brief fit gives."""
     v = 0.5 + 0.05 * rng.standard_normal(n)
-    v[:2] = [173.0, -90.0]
+    v[:2] = [173.0, -90.0][:n]
     return v
+
+
+def kde_column(kind, n, rng):
+    """n draws of one of the column shapes the KDE must handle."""
+    if kind == "normal":
+        return rng.standard_normal(n)
+    if kind == "cauchy":
+        return rng.standard_cauchy(n)
+    if kind == "far_out":
+        return far_out_column(rng, n)
+    if kind == "offset":
+        return 1000.0 + 0.01 * rng.standard_normal(n)
+    if kind == "ties":
+        return np.round(rng.standard_normal(n), 1)
+    return np.full(n, 0.7)
+
+
+COLUMNS = ["normal", "cauchy", "far_out", "offset", "ties", "constant"]
 
 
 class TestMmse:
@@ -186,12 +207,52 @@ class TestPixelMarginal:
         want = direct_kde(v, pm.grid, pm.bandwidth)
         assert np.max(np.abs(pm.density - want)) <= 1e-12 * want.max()
 
-    @pytest.mark.parametrize("column", ["normal", "far_out", "constant"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(COLUMNS), n=st.integers(1, 700),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kind="normal", n=1, seed=0)
+    @example(kind="far_out", n=2, seed=0)
+    @example(kind="cauchy", n=2, seed=1)
+    def test_windowed_kde_matches_direct_sum(self, kind, n, seed):
+        v = kde_column(kind, n, np.random.default_rng(seed))
+        pm = pixel_marginal(v[:, None], 0)
+        want = direct_kde(v, pm.grid, pm.bandwidth)
+        assert np.max(np.abs(pm.density - want)) <= 1e-12 * want.max()
+        hi = v.max() if v.max() > v.min() else v.min() + 1e-8
+        counts, edges = np.histogram(v, bins=50, range=(v.min(), hi))
+        assert np.array_equal(pm.counts, counts)
+        assert np.array_equal(pm.bin_edges, edges)
+
+    @pytest.mark.parametrize("bins", [4, 10, 50])
+    def test_counts_match_histogram_for_draws_on_edges(self, bins):
+        edges = np.linspace(-1.0, 3.0, bins + 1)
+        v = np.concatenate([edges, edges[::2], [edges[-1]] * 3, [0.1]])
+        pm = pixel_marginal(v[:, None], 0, bins=bins)
+        counts, want_edges = np.histogram(v, bins=bins, range=(-1.0, 3.0))
+        assert np.array_equal(pm.bin_edges, want_edges)
+        assert np.array_equal(pm.counts, counts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draw_raises(self, bad):
+        v = np.random.default_rng(14).standard_normal((30, 2))
+        v[3, 1] = bad
+        with pytest.raises(EstimatorError, match="non-finite"):
+            pixel_marginal(v, 1)
+
+    @pytest.mark.parametrize("column", ["normal", "far_out", "constant",
+                                        "two_clusters"])
     def test_export_bytes_match_line_by_line_writer(self, tmp_path, column):
         rng = np.random.default_rng(12)
         v = {"normal": rng.standard_normal(300), "far_out": far_out_column(rng),
-             "constant": np.full(10, 0.1)}[column]
+             "constant": np.full(10, 0.1),
+             # 270 draws near 0 and 30 near 50: the kernel is narrow next to
+             # the gap, so the KDE is exactly 0 between the clusters
+             "two_clusters": np.concatenate([
+                 0.05 * rng.standard_normal(270),
+                 50.0 + 0.05 * rng.standard_normal(30)])}[column]
         pm = pixel_marginal(v[:, None], 0, bins=17)
+        if column == "two_clusters":
+            assert 0.0 in pm.density
         export_pixel_marginal(pm, tmp_path / "new.txt")
         line_by_line_export(pm, tmp_path / "old.txt")
         assert (tmp_path / "new.txt").read_bytes() == \
