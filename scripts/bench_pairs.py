@@ -5,15 +5,17 @@ Run from the root of a source checkout:
     python3 scripts/bench_pairs.py --pr 20 --base HEAD --seeds 101-110
 
 The base revision's committed files are extracted with ``git archive``
-into a temporary directory.  For each seed and workload,
-``perfbench/run.py`` then runs once in each tree, each in its own process;
-the side that runs first alternates between one workload's pairs.
+into a temporary directory.  For each seed and each workload that
+BENCHMARK.json declares, ``perfbench/run.py`` then runs once in each tree
+for BENCHMARK.json's ``run_seconds``, each in its own process; the side
+that runs first alternates between one workload's pairs.
 ``BENCH_<pr>.json`` gets, per workload and end-to-end metric, each side's
 median and quartiles (numpy's linear percentiles), the ratio of the
 medians (change / base), the pairs the change won (ties count for
-neither), and whether that is a gain by the pair rule: at least nine
-tenths of the pairs won and the medians further apart than the base's
-quartiles.  Every run's metrics are kept in the file as well.
+neither), and whether that is a gain by the pair rule: every change run's
+checks passed, no larger share of operations failed than in the base,
+at least nine tenths of the pairs won and the medians further apart than
+the base's quartiles.  Every run's metrics are kept in the file as well.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ def summarize(runs: list[dict], metrics: dict) -> dict:
     medians and the pairs won.
 
     ``runs`` holds one record per run: ``workload``, ``seed``, ``side``
-    ("base" or "change"), ``attempted``, ``failed`` and ``metrics`` (name
-    -> value).  A pair is the two sides' runs of one workload and seed.
-    ``metrics`` maps each metric to "lower" or "higher", the better
-    direction.
+    ("base" or "change"), ``attempted``, ``failed``, ``correct`` (whether
+    every check passed) and ``metrics`` (name -> value).  A pair is the
+    two sides' runs of one workload and seed.  ``metrics`` maps each
+    metric to "lower" or "higher", the better direction.
     """
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
@@ -72,6 +74,12 @@ def summarize(runs: list[dict], metrics: dict) -> dict:
         for side in SIDES:
             summary[f"{side}_failed"] = sum(p[side]["failed"] for p in pairs)
             summary[f"{side}_attempted"] = sum(p[side]["attempted"] for p in pairs)
+            summary[f"{side}_incorrect"] = sum(not p[side]["correct"] for p in pairs)
+        # a change that fails a larger share of operations, or any check,
+        # gains nothing
+        sound = (summary["change_incorrect"] == 0
+                 and summary["change_failed"] * summary["base_attempted"]
+                 <= summary["base_failed"] * summary["change_attempted"])
         for name, better in metrics.items():
             sign = 1.0 if better == "lower" else -1.0
             values = {side: [p[side]["metrics"][name] for p in pairs]
@@ -85,7 +93,7 @@ def summarize(runs: list[dict], metrics: dict) -> dict:
                 "ratio": change["median"] / base["median"],
                 "pairs_won": int(won),
                 "gain_by_pair_rule": bool(
-                    pairs and won >= 0.9 * len(pairs)
+                    pairs and sound and won >= 0.9 * len(pairs)
                     and gain > base["q3"] - base["q1"]),
             }
         out[workload] = summary
@@ -116,14 +124,11 @@ def main(argv=None) -> int:
     p.add_argument("--base", default="HEAD", help="base revision (default HEAD)")
     p.add_argument("--seeds", type=parse_seeds, required=True,
                    help="'101-110' or '3,5,8'")
-    p.add_argument("--workloads", nargs="+")
-    p.add_argument("--seconds", type=float,
-                   help="run length (default: BENCHMARK.json's run_seconds)")
     args = p.parse_args(argv)
 
     declared = json.loads(Path("BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in declared["workloads"]]
-    seconds = args.seconds or declared["run_seconds"]
+    workloads = [w["name"] for w in declared["workloads"]]
+    seconds = declared["run_seconds"]
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
     base_rev = git("rev-parse", args.base)
     trees = {"change": Path.cwd()}

@@ -143,11 +143,10 @@ def silverman_bandwidth(values: np.ndarray) -> float:
 def pixel_marginal(samples, coordinate: int, bins: int = 50) -> PixelMarginal:
     """Histogram plus Gaussian kernel density of one coordinate's draws.
 
-    The column is sorted once: its ends are the histogram's range, its
-    counts are the draws between ``np.histogram``'s own edges (so they are
-    that function's counts), and the KDE reads, for each block of grid
-    rows, only the draws its kernel can reach.  The mean, variance and
-    bandwidth are computed on the column as drawn.
+    The column is sorted once: its ends are the histogram's range, and the
+    KDE reads, for each block of grid rows, only the draws its kernel can
+    reach.  The mean, variance and bandwidth are computed on the column as
+    drawn.
     """
     s = _samples(samples)
     if not 0 <= coordinate < s.shape[1]:
@@ -161,15 +160,11 @@ def pixel_marginal(samples, coordinate: int, bins: int = 50) -> PixelMarginal:
         raise EstimatorError(f"coordinate {coordinate} holds a non-finite draw")
     if hi == lo:
         hi = lo + 1e-8
-    edges = np.histogram_bin_edges(ordered, bins=bins, range=(lo, hi))
-    # bin k holds edges[k] <= v < edges[k + 1], the last bin also its right edge
-    below = np.searchsorted(ordered, edges, side="left")
-    below[-1] = np.searchsorted(ordered, edges[-1], side="right")
+    counts, edges = np.histogram(ordered, bins=bins, range=(lo, hi))
     bw = silverman_bandwidth(v)
     grid = np.linspace(lo - 4.0 * bw, hi + 4.0 * bw, _GRID_POINTS)
-    return PixelMarginal(coordinate=coordinate, bin_edges=edges,
-                         counts=np.diff(below), grid=grid,
-                         density=_gaussian_kde(ordered, grid, bw),
+    return PixelMarginal(coordinate=coordinate, bin_edges=edges, counts=counts,
+                         grid=grid, density=_gaussian_kde(ordered, grid, bw),
                          mean=float(v.mean()), variance=float(v.var()),
                          bandwidth=bw)
 

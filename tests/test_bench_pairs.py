@@ -12,13 +12,14 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def runs(workload, base, change, failed=(0, 0)):
+def runs(workload, base, change, failed=(0, 0), correct=(True, True)):
     """One base and one change run per seed, with metric 't' and 'rate'."""
     out = []
     for seed, (b, c) in enumerate(zip(base, change)):
-        for side, value, bad in (("base", b, failed[0]), ("change", c, failed[1])):
+        for side, value, bad, ok in (("base", b, failed[0], correct[0]),
+                                     ("change", c, failed[1], correct[1])):
             out.append({"workload": workload, "seed": seed, "side": side,
-                        "attempted": 10, "failed": bad,
+                        "attempted": 10, "failed": bad, "correct": ok,
                         "metrics": {"t": value, "rate": 1.0 / value}})
     return out
 
@@ -65,10 +66,32 @@ def test_a_gain_inside_the_base_spread_is_not_a_gain():
     assert not s["t"]["gain_by_pair_rule"]   # 0.1 against an IQR of 2
 
 
+@pytest.mark.parametrize("failed, correct", [((0, 1), (True, True)),
+                                             ((1, 2), (True, True)),
+                                             ((0, 0), (True, False))])
+def test_more_failures_or_a_failed_check_is_not_a_gain(failed, correct):
+    base = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]
+    s = bench_pairs.summarize(runs("w", base, [0.7 * b for b in base],
+                                   failed=failed, correct=correct), METRICS)["w"]
+    assert s["t"]["pairs_won"] == 10
+    assert not s["t"]["gain_by_pair_rule"]
+    assert not s["rate"]["gain_by_pair_rule"]
+
+
+def test_as_few_failures_as_the_base_still_count_as_a_gain():
+    base = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]
+    s = bench_pairs.summarize(runs("w", base, [0.7 * b for b in base],
+                                   failed=(1, 1), correct=(False, True)),
+                              METRICS)["w"]
+    assert (s["base_incorrect"], s["change_incorrect"]) == (10, 0)
+    assert s["t"]["gain_by_pair_rule"]
+
+
 def test_unpaired_runs_are_left_out_and_failures_summed():
     r = runs("w", [1.0, 2.0], [1.0, 2.0], failed=(1, 0))
     r.append({"workload": "w", "seed": 9, "side": "base", "attempted": 10,
-              "failed": 5, "metrics": {"t": 100.0, "rate": 0.01}})
+              "failed": 5, "correct": False,
+              "metrics": {"t": 100.0, "rate": 0.01}})
     s = bench_pairs.summarize(r + runs("v", [1.0], [2.0]), METRICS)
     assert set(s) == {"v", "w"}
     assert s["w"]["pairs"] == 2

@@ -223,15 +223,6 @@ class TestPixelMarginal:
         assert np.array_equal(pm.counts, counts)
         assert np.array_equal(pm.bin_edges, edges)
 
-    @pytest.mark.parametrize("bins", [4, 10, 50])
-    def test_counts_match_histogram_for_draws_on_edges(self, bins):
-        edges = np.linspace(-1.0, 3.0, bins + 1)
-        v = np.concatenate([edges, edges[::2], [edges[-1]] * 3, [0.1]])
-        pm = pixel_marginal(v[:, None], 0, bins=bins)
-        counts, want_edges = np.histogram(v, bins=bins, range=(-1.0, 3.0))
-        assert np.array_equal(pm.bin_edges, want_edges)
-        assert np.array_equal(pm.counts, counts)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_draw_raises(self, bad):
         v = np.random.default_rng(14).standard_normal((30, 2))
