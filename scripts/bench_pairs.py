@@ -15,7 +15,10 @@ medians (change / base), the pairs the change won (ties count for
 neither), and whether that is a gain by the pair rule: every change run's
 checks passed, no larger share of operations failed than in the base,
 at least nine tenths of the pairs won and the medians further apart than
-the base's quartiles.  Every run's metrics are kept in the file as well.
+the base's quartiles.  A run that exits non-zero or prints no result is
+recorded as crashed: incorrect, with no metrics, so its pair is left out
+of the quartiles but still counts against the pairs won.  Every run's
+metrics are kept in the file as well.
 """
 
 from __future__ import annotations
@@ -53,15 +56,21 @@ def pair_order(seed_index: int, workload_index: int) -> tuple[str, str]:
     return SIDES if (seed_index + workload_index) % 2 == 0 else SIDES[::-1]
 
 
+def crashed(run: dict) -> bool:
+    # records written before crashes were recorded have no such key
+    return run.get("crashed", False)
+
+
 def summarize(runs: list[dict], metrics: dict) -> dict:
     """Per workload and metric, both sides' quartiles, the ratio of the
     medians and the pairs won.
 
     ``runs`` holds one record per run: ``workload``, ``seed``, ``side``
     ("base" or "change"), ``attempted``, ``failed``, ``correct`` (whether
-    every check passed) and ``metrics`` (name -> value).  A pair is the
-    two sides' runs of one workload and seed.  ``metrics`` maps each
-    metric to "lower" or "higher", the better direction.
+    every check passed), ``crashed`` and ``metrics`` (name -> value, empty
+    for a crashed run).  A pair is the two sides' runs of one workload and
+    seed.  ``metrics`` maps each metric to "lower" or "higher", the better
+    direction.
     """
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
@@ -75,6 +84,8 @@ def summarize(runs: list[dict], metrics: dict) -> dict:
             summary[f"{side}_failed"] = sum(p[side]["failed"] for p in pairs)
             summary[f"{side}_attempted"] = sum(p[side]["attempted"] for p in pairs)
             summary[f"{side}_incorrect"] = sum(not p[side]["correct"] for p in pairs)
+            summary[f"{side}_crashed"] = sum(crashed(p[side]) for p in pairs)
+        whole = [p for p in pairs if not any(crashed(p[side]) for side in SIDES)]
         # a change that fails a larger share of operations, or any check,
         # gains nothing
         sound = (summary["change_incorrect"] == 0
@@ -82,7 +93,11 @@ def summarize(runs: list[dict], metrics: dict) -> dict:
                  <= summary["base_failed"] * summary["change_attempted"])
         for name, better in metrics.items():
             sign = 1.0 if better == "lower" else -1.0
-            values = {side: [p[side]["metrics"][name] for p in pairs]
+            if not whole:
+                summary[name] = {"better": better, "pairs_won": 0,
+                                 "gain_by_pair_rule": False}
+                continue
+            values = {side: [p[side]["metrics"][name] for p in whole]
                       for side in SIDES}
             base, change = quartiles(values["base"]), quartiles(values["change"])
             won = sum(sign * (c - b) < 0.0
@@ -93,7 +108,7 @@ def summarize(runs: list[dict], metrics: dict) -> dict:
                 "ratio": change["median"] / base["median"],
                 "pairs_won": int(won),
                 "gain_by_pair_rule": bool(
-                    pairs and sound and won >= 0.9 * len(pairs)
+                    sound and won >= 0.9 * len(pairs)
                     and gain > base["q3"] - base["q1"]),
             }
         out[workload] = summary
@@ -101,14 +116,24 @@ def summarize(runs: list[dict], metrics: dict) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in ``tree``: its last output line."""
+    """One untraced perfbench run in ``tree``: its last output line, or a
+    crashed record when it exits non-zero or that line is no result."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+        cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if done.returncode == 0 and lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        tail = done.stderr.strip().splitlines()[-1:]
+        return {"attempted": 0, "failed": 0, "correct": False, "crashed": True,
+                "exit": done.returncode, "error": tail[0] if tail else "",
+                "metrics": {}}
     return {"attempted": result["attempted"], "failed": result["failed"],
-            "correct": result["correct"],
+            "correct": result["correct"], "crashed": False,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -145,8 +170,10 @@ def main(argv=None) -> int:
                     r = run_once(trees[side], workload, seed, seconds)
                     runs.append({"workload": workload, "seed": seed,
                                  "side": side, "first": side == order[0], **r})
-                    print(f"{workload} seed={seed} {side}: " + ", ".join(
-                        f"{m}={r['metrics'][m]:.4g}" for m in metrics),
+                    print(f"{workload} seed={seed} {side}: " + (
+                        f"crashed (exit {r['exit']}): {r['error']}"
+                        if r["crashed"] else ", ".join(
+                            f"{m}={r['metrics'][m]:.4g}" for m in metrics)),
                         flush=True)
 
     record = {
@@ -163,6 +190,9 @@ def main(argv=None) -> int:
     for workload, summary in record["summary"].items():
         for name in metrics:
             s = summary[name]
+            if "base" not in s:
+                print(f"{workload} {name}: no pair without a crash")
+                continue
             print(f"{workload} {name}: {s['base']['median']:.4g} -> "
                   f"{s['change']['median']:.4g} ({s['ratio']:.3f}x), "
                   f"{s['pairs_won']}/{summary['pairs']} pairs won")

@@ -126,16 +126,31 @@ class PixelMarginal:
     bandwidth: float
 
 
-def silverman_bandwidth(values: np.ndarray) -> float:
+def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
+    """numpy's linear percentile at fraction 0 <= ``q`` < 1 of draws
+    ``ordered`` in ascending order, bit for bit: the value at virtual index
+    q (n - 1), interpolated from below, or from above when the fraction is
+    >= 0.5."""
+    index = (len(ordered) - 1) * q
+    lo = math.floor(index)
+    t = index - lo
+    a, b = float(ordered[lo]), float(ordered[lo + 1])
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def silverman_bandwidth(values: np.ndarray, ordered: np.ndarray | None = None) -> float:
     """Rule-of-thumb kernel width 0.9 min(std, IQR/1.34) n^(-1/5), floored
-    for degenerate samples."""
+    for degenerate samples.  ``ordered``, the values sorted, gives the
+    quartiles when the caller holds it; the std is taken on ``values``."""
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
     if n < 2:
         return _BANDWIDTH_FLOOR
     std = float(v.std(ddof=1))
-    q75, q25 = np.percentile(v, [75.0, 25.0])
-    iqr = float(q75 - q25)
+    if ordered is None:
+        ordered = np.sort(v)
+    iqr = _sorted_quantile(ordered, 0.75) - _sorted_quantile(ordered, 0.25)
     scale = min(std, iqr / 1.34) if iqr > 0.0 else std
     return max(0.9 * scale * n ** (-0.2), _BANDWIDTH_FLOOR)
 
@@ -143,10 +158,10 @@ def silverman_bandwidth(values: np.ndarray) -> float:
 def pixel_marginal(samples, coordinate: int, bins: int = 50) -> PixelMarginal:
     """Histogram plus Gaussian kernel density of one coordinate's draws.
 
-    The column is sorted once: its ends are the histogram's range, and the
-    KDE reads, for each block of grid rows, only the draws its kernel can
-    reach.  The mean, variance and bandwidth are computed on the column as
-    drawn.
+    The column is sorted once: its ends are the histogram's range, it
+    gives the bandwidth's quartiles, and the KDE reads, for each block of
+    grid rows, only the draws its kernel can reach.  The mean, the variance
+    and the bandwidth's std are computed on the column as drawn.
     """
     s = _samples(samples)
     if not 0 <= coordinate < s.shape[1]:
@@ -161,7 +176,7 @@ def pixel_marginal(samples, coordinate: int, bins: int = 50) -> PixelMarginal:
     if hi == lo:
         hi = lo + 1e-8
     counts, edges = np.histogram(ordered, bins=bins, range=(lo, hi))
-    bw = silverman_bandwidth(v)
+    bw = silverman_bandwidth(v, ordered)
     grid = np.linspace(lo - 4.0 * bw, hi + 4.0 * bw, _GRID_POINTS)
     return PixelMarginal(coordinate=coordinate, bin_edges=edges, counts=counts,
                          grid=grid, density=_gaussian_kde(ordered, grid, bw),

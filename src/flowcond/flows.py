@@ -27,10 +27,18 @@ into views of one flat gradient.  Passed ``bind=None``, a tape pass
 treats the weights as constants, records no weight leaf and computes no
 weight gradients, which is how the frozen base runs inside the losses.
 
+Index sets are views.  A coupling's conditioning and coupled sets and a
+permutation's order are held as a ``slice`` when they step evenly, as
+every set :func:`make_flow` builds does (even/odd splits, reversals), and
+as an index array otherwise; every gather, scatter and adjoint indexes
+with ``x[:, index]``, which takes both.
+
 The two forms agree to rounding.  They differ only in the memory layout
-of their gathers, which BLAS reads at a speed and, for small matmuls,
-with a rounding that depend on it: :meth:`FlowModel.forward_as_tape` gives
-the tape's values bit for bit without a tape.
+of the copies they gather, which BLAS reads at a speed and, for small
+matmuls, with a rounding that depend on it: the tape front copies in C
+order, the array front in F order, whichever kind of index set it reads.
+:meth:`FlowModel.forward_as_tape` gives the tape's values bit for bit
+without a tape.
 """
 
 from __future__ import annotations
@@ -181,7 +189,11 @@ class Mlp:
         for i, (w, b) in enumerate(zip(weights, biases)):
             if acts is not None:
                 acts.append(h)
-            h = h @ w
+            # an inner dimension of 1 (the first layer at d = 2): the
+            # broadcast product gives the matmul's bits without its call,
+            # once the bias is added (the matmul writes 0.0 where the
+            # product is -0.0; only a bias of -0.0 would keep the sign)
+            h = h * w if w.shape[0] == 1 else h @ w
             h += b
             if i < last:
                 np.tanh(h, out=h)
@@ -212,10 +224,26 @@ class Mlp:
                     np.matmul(ones, g, out=grads[n + i])
                 g = g @ weights[i].T
                 if i > 0:
-                    g = g * (1.0 - a * a)
+                    g *= _one_minus_square(a)
             return g
 
         return out, vjp
+
+
+def _one_minus_square(a):
+    """1 - a * a, formed in one new array."""
+    out = a * a
+    return np.subtract(1.0, out, out=out)
+
+
+def _index(values: list[int]):
+    """``values`` as ``x[:, index]`` reads them: a slice, whose gathers
+    are strided views, when they step evenly, else an index array."""
+    step = values[1] - values[0] if len(values) > 1 else 1
+    if values and step and values == list(range(values[0], values[-1] + step, step)):
+        stop = values[-1] + step
+        return slice(values[0], None if stop < 0 else stop, step)
+    return np.asarray(values, dtype=np.intp)
 
 
 class Permutation:
@@ -223,9 +251,11 @@ class Permutation:
 
     def __init__(self, perm):
         self.perm = np.asarray(perm, dtype=np.intp)
-        if sorted(self.perm.tolist()) != list(range(len(self.perm))):
+        order = self.perm.tolist()
+        if sorted(order) != list(range(len(order))):
             raise FlowError("permutation must reorder 0..d-1")
         self.inv = np.argsort(self.perm)
+        self._order, self._undo = _index(order), _index(self.inv.tolist())
 
     def state_arrays(self):
         return []
@@ -234,25 +264,24 @@ class Permutation:
         pass
 
     def forward_array(self, x, context=None):
-        return x[:, self.perm], None
+        return np.asfortranarray(x[:, self._order]), None
 
     def inverse_array(self, y, context=None):
-        return y[:, self.inv], None
+        return np.asfortranarray(y[:, self._undo]), None
 
     # the tape passes of FlowModel: output, log-det (none) and adjoint
 
     def forward_node(self, x, context=None, params=None):
-        return np.take(x, self.perm, axis=1), None, _gather_vjp(self.inv)
+        return x[:, self._order].copy(), None, _gather_vjp(self._undo)
 
     def inverse_node(self, y, context=None, params=None):
-        return np.take(y, self.inv, axis=1), None, _gather_vjp(self.perm)
+        return y[:, self._undo].copy(), None, _gather_vjp(self._order)
 
 
 def _gather_vjp(index):
     def vjp(g_y, g_ld, grads):
-        g = np.take(g_y, index, axis=1)
-        g += 0.0    # -0.0 to 0.0, as accumulating onto zeros does
-        return g, None
+        # + 0.0 turns -0.0 to 0.0, as accumulating onto zeros does
+        return np.add(g_y[:, index], 0.0, out=np.empty(g_y.shape)), None
 
     return vjp
 
@@ -327,9 +356,10 @@ class CouplingLayer:
         self.kind = kind
         self.idx_cond = np.asarray(idx_cond, dtype=np.intp)
         self.idx_out = np.asarray(idx_out, dtype=np.intp)
-        both = np.concatenate([self.idx_cond, self.idx_out])
-        if sorted(both.tolist()) != list(range(len(both))):
+        cond, out = self.idx_cond.tolist(), self.idx_out.tolist()
+        if sorted(cond + out) != list(range(len(cond) + len(out))):
             raise FlowError("partition must split 0..d-1 into disjoint sets")
+        self._cond, self._out = _index(cond), _index(out)
         self.conditioner = conditioner
         self.context_width = int(context_width)
         k = len(self.idx_out)
@@ -355,8 +385,8 @@ class CouplingLayer:
 
     def _assemble(self, xc, yo):
         y = np.empty((xc.shape[0], len(self.idx_cond) + len(self.idx_out)))
-        y[:, self.idx_cond] = xc
-        y[:, self.idx_out] = yo
+        y[:, self._cond] = xc
+        y[:, self._out] = yo
         return y
 
     def _couple(self, xo, h, inverse):
@@ -379,15 +409,15 @@ class CouplingLayer:
                 (t, inv_scale, centred))
 
     def forward_array(self, x, context=None):
-        xc = x[:, self.idx_cond]
+        xc = np.asfortranarray(x[:, self._cond])
         h = self.conditioner.forward_array(self._net_input(xc, context))
-        yo, ld, _ = self._couple(x[:, self.idx_out], h, inverse=False)
+        yo, ld, _ = self._couple(x[:, self._out], h, inverse=False)
         return self._assemble(xc, yo), ld
 
     def inverse_array(self, y, context=None):
-        yc = y[:, self.idx_cond]
+        yc = np.asfortranarray(y[:, self._cond])
         h = self.conditioner.forward_array(self._net_input(yc, context))
-        xo, ld, _ = self._couple(y[:, self.idx_out], h, inverse=True)
+        xo, ld, _ = self._couple(y[:, self._out], h, inverse=True)
         return self._assemble(yc, xo), ld
 
     def forward_node(self, x, context=None, params=None):
@@ -402,21 +432,24 @@ class CouplingLayer:
         returns the adjoints of ``x`` and of the context (None without
         one) and writes the conditioner's gradients into ``grads`` when
         given.  The products, sums and memory layouts are those of the
-        per-op path (tests/flow_reference.py), in its order."""
-        xc = np.take(x, self.idx_cond, axis=1)
+        per-op path (tests/flow_reference.py), in its order: the index
+        sets are views, and the conditioner's input is a C-ordered copy,
+        as ``np.take`` gathers it there."""
+        cond, out = self._cond, self._out
+        xc = x[:, cond].copy()
         h, net_vjp = self.conditioner.forward_node(
             self._net_input(xc, context), params)
-        yo, ld, saved = self._couple(x[:, self.idx_out], h, inverse)
+        yo, ld, saved = self._couple(x[:, out], h, inverse)
         y = self._assemble(xc, yo)
-        idx_cond, idx_out = self.idx_cond, self.idx_out
         n, d = y.shape
-        kc = len(idx_cond)
+        kc = xc.shape[1]
 
         def adjoints(g_y, g_xo, g_h, grads):
             g_in = net_vjp(g_h, grads)
             g_x = np.empty((n, d))
-            g_x[:, idx_out] = g_xo
-            g_x[:, idx_cond] = g_y[:, idx_cond] + g_in[:, :kc]
+            g_x[:, out] = g_xo
+            g_x[:, cond] = g_y[:, cond]
+            g_x[:, cond] += g_in[:, :kc]
             g_x += 0.0    # -0.0 to 0.0, as accumulating onto zeros does
             return g_x, (g_in[:, kc:] if self.context_width else None)
 
@@ -427,26 +460,32 @@ class CouplingLayer:
                 # matmuls of its backward pass round differently on a
                 # contiguous copy
                 g_o = np.empty((n, d))[:, kc:]
-                g_o[...] = g_y[:, idx_out]
+                g_o[...] = g_y[:, out]
                 return adjoints(g_y, g_o, (-g_o if inverse else g_o), grads)
 
             return y, None, vjp
 
         t, factor, operand = saved
         log_limit = math.log(SCALE_LIMIT)
+        k = d - kc
 
         def vjp(g_y, g_ld, grads):
-            g_o = g_y[:, idx_out]
+            # the shift's and the raw scale's adjoints, side by side
+            g_h = np.empty((n, 2 * k))
+            g_o = g_y[:, out]
             g_xo = g_o * factor
+            g_ls = g_o * operand
+            g_ls *= factor
             if inverse:
-                g_shift = -g_xo
-                g_ls = -1.0 * ((g_o * operand) * factor) + (-1.0 * g_ld)[:, None]
+                np.negative(g_xo, out=g_h[:, :k])
+                g_ls *= -1.0
+                g_ls += (-1.0 * g_ld)[:, None]
             else:
-                g_shift = g_o
-                g_ls = (g_o * operand) * factor + g_ld[:, None]
-            g_raw = (log_limit * g_ls) * (1.0 - t * t)
-            return adjoints(g_y, g_xo, np.concatenate([g_shift, g_raw], axis=1),
-                            grads)
+                g_h[:, :k] = g_o
+                g_ls += g_ld[:, None]
+            g_ls *= log_limit
+            np.multiply(g_ls, _one_minus_square(t), out=g_h[:, k:])
+            return adjoints(g_y, g_xo, g_h, grads)
 
         return y, ld, vjp
 

@@ -110,3 +110,60 @@ def test_each_workload_alternates_which_side_runs_first():
         firsts = [bench_pairs.pair_order(i, j)[0] for i in range(4)]
         assert firsts in (["base", "change"] * 2, ["change", "base"] * 2)
     assert bench_pairs.pair_order(0, 0) != bench_pairs.pair_order(0, 1)
+
+
+def fake_tree(tmp_path, body):
+    """A tree whose perfbench/run.py is ``body``."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(body)
+    return tmp_path
+
+
+RESULT = ('import json\nprint("perfbench done")\nprint(json.dumps({"correct": True, '
+          '"attempted": 5, "failed": 0, "metrics": {"t": {"value": 1.5, "unit": "s"}}}))\n')
+
+
+@pytest.mark.parametrize("body", [
+    "import sys\nprint('starting', flush=True)\nsys.exit('boom')\n",
+    "print('perfbench: no result')\n",
+    "",
+    RESULT + "raise SystemExit(1)\n",
+], ids=["exit-1", "no-result-line", "no-output", "result-then-exit-1"])
+def test_a_crashed_run_is_recorded_not_raised(tmp_path, body):
+    r = bench_pairs.run_once(fake_tree(tmp_path, body), "w", 1, 0.1)
+    assert r["crashed"] and not r["correct"]
+    assert r["metrics"] == {} and (r["attempted"], r["failed"]) == (0, 0)
+
+
+def test_a_finished_run_gives_its_result_line(tmp_path):
+    r = bench_pairs.run_once(fake_tree(tmp_path, RESULT), "w", 1, 0.1)
+    assert r == {"attempted": 5, "failed": 0, "correct": True,
+                 "crashed": False, "metrics": {"t": 1.5}}
+
+
+def crash(runs_, seed, side):
+    for r in runs_:
+        if r["seed"] == seed and r["side"] == side:
+            r.update(crashed=True, correct=False, attempted=0, failed=0,
+                     metrics={})
+    return runs_
+
+
+@pytest.mark.parametrize("side", ["base", "change"])
+def test_a_crashed_pair_is_left_out_and_never_a_gain(side):
+    base = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]
+    r = crash(runs("w", base, [0.7 * b for b in base]), 0, side)
+    s = bench_pairs.summarize(r, METRICS)["w"]
+    assert s["pairs"] == 10 and s[f"{side}_crashed"] == 1
+    assert s["t"]["pairs_won"] == 9
+    assert s["t"]["base"]["median"] == pytest.approx(1.2)
+    # nine of ten pairs is enough where the base crashed, never where the
+    # change did
+    assert s["t"]["gain_by_pair_rule"] == (side == "base")
+
+
+def test_every_pair_crashed_gives_no_quartiles():
+    r = crash(crash(runs("w", [1.0], [0.5]), 0, "base"), 0, "change")
+    s = bench_pairs.summarize(r, METRICS)["w"]
+    assert s["t"] == {"better": "lower", "pairs_won": 0,
+                      "gain_by_pair_rule": False}

@@ -16,6 +16,7 @@ from flowcond.estimators import (EstimatorError, diversity,
                                  export_pixel_marginal, mmse_estimate, mse,
                                  mse_decomposition, pixel_marginal, psnr,
                                  silverman_bandwidth)
+from flowcond.estimators import _sorted_quantile
 
 
 def brute_diversity(x):
@@ -194,6 +195,35 @@ class TestPixelMarginal:
 
     def test_zero_variance_bandwidth_floor(self):
         assert silverman_bandwidth(np.full(50, 2.0)) == 1e-4
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.lists(st.one_of(
+        st.floats(-1e6, 1e6, allow_subnormal=False), st.sampled_from(
+            [0.0, -0.0, 1.0, 1.0 + 2.0 ** -52, 3.0])), min_size=2, max_size=60))
+    @example(values=[1.0, 2.0])
+    @example(values=[-1.0, 0.5, 7.0])
+    @example(values=[2.0] * 7)
+    @example(values=[0.1, 0.1, 0.7, 0.7, 0.7])
+    def test_quartiles_from_sorted_draws_match_percentile(self, values):
+        # numpy's linear rule, including its lerp from above at t >= 0.5,
+        # read off the sorted column the marginal already holds; equal bit
+        # for bit but for the sign of a zero, since neither np.sort nor
+        # np.partition orders 0.0 against -0.0 (the IQR is then 0 either way)
+        v = np.array(values)
+        ordered = np.sort(v)
+        zero_signs = {math.copysign(1.0, x) for x in values if x == 0.0}
+        for q in (0.25, 0.75):
+            expected = float(np.percentile(v, 100.0 * q))
+            got = _sorted_quantile(ordered, q)
+            assert got == expected
+            if len(zero_signs) < 2:
+                assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+        q75, q25 = np.percentile(v, [75.0, 25.0])
+        iqr = float(q75 - q25)
+        std = float(v.std(ddof=1))
+        scale = min(std, iqr / 1.34) if iqr > 0.0 else std
+        assert silverman_bandwidth(v, ordered) == silverman_bandwidth(v) == \
+            max(0.9 * scale * len(v) ** (-0.2), 1e-4)
 
     def test_coordinate_out_of_range(self):
         with pytest.raises(EstimatorError):

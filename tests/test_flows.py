@@ -11,8 +11,8 @@ import pytest
 from flowcond import diffengine as de
 from flowcond.flows import (ComposedSampler, CouplingLayer, DiagonalAffine,
                             FlowError, FlowModel, Mlp, ParamBinder,
-                            Permutation, SingularScale, gaussian_logpdf,
-                            gaussian_logpdf_node, make_flow)
+                            Permutation, SingularScale, _index,
+                            gaussian_logpdf, gaussian_logpdf_node, make_flow)
 from flowcond.training import default_pre_generator
 
 
@@ -307,6 +307,47 @@ class TestGraphConsistency:
         g = de.Graph()
         node = gaussian_logpdf_node(g.constant(x))
         np.testing.assert_array_equal(node.value, gaussian_logpdf(x))
+
+
+def takes_views(flow):
+    """Whether every coupling and permutation of ``flow`` gathers by slices."""
+    index_sets = [ix for layer in flow.layers for ix in (
+        (layer._cond, layer._out) if isinstance(layer, CouplingLayer)
+        else (layer._order, layer._undo) if isinstance(layer, Permutation)
+        else ())]
+    return bool(index_sets) and all(isinstance(ix, slice) for ix in index_sets)
+
+
+class TestIndexViews:
+    @pytest.mark.parametrize("values, view", [
+        ([0, 1, 2, 3], slice(0, 4, 1)),
+        ([0, 2, 4], slice(0, 6, 2)),
+        ([0, 3], slice(0, 6, 3)),
+        ([1, 3, 5], slice(1, 7, 2)),
+        ([3], slice(3, 4, 1)),
+        ([4, 3, 2, 1, 0], slice(4, None, -1)),
+        ([5, 3, 1], slice(5, None, -2)),
+        ([3, 2], slice(3, 1, -1)),
+    ], ids=["step-1", "step-2", "pair", "step-2-odd", "single", "descending",
+            "descending-step-2", "descending-inner"])
+    def test_progressions_are_slices(self, values, view):
+        assert _index(values) == view
+        x = np.arange(8.0 * 6).reshape(8, 6)
+        np.testing.assert_array_equal(x[:, view], x[:, values])
+
+    @pytest.mark.parametrize("values", [[2, 0, 1], [0, 1, 3], [1, 2, 4], [0, 0], []],
+                             ids=["unsorted", "uneven", "non-progression",
+                                  "repeated", "empty"])
+    def test_other_sets_are_index_arrays(self, values):
+        index = _index(values)
+        assert isinstance(index, np.ndarray) and index.dtype == np.intp
+        assert index.tolist() == values
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 64])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_make_flow_gathers_by_views(self, dim, num_layers):
+        flow = make_flow(dim, num_layers=num_layers, rng=np.random.default_rng(0))
+        assert takes_views(flow)
 
 
 def reads_vector(model):

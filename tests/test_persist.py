@@ -22,7 +22,7 @@ from flowcond.persist import (ChecksumMismatch, ConfigError, Dataset,
                               save_array, save_checkpoint, save_image_dataset,
                               synth_dataset, write_manifest)
 from tests.flow_reference import blob_images_reference
-from tests.test_flows import perturbed_flow, reads_vector
+from tests.test_flows import perturbed_flow, reads_vector, takes_views
 
 
 class TestCheckpoint:
@@ -51,6 +51,7 @@ class TestCheckpoint:
         save_checkpoint(model, path, "conditional")
         loaded = load_checkpoint(path, "conditional")
         assert loaded.context_width == 8
+        assert takes_views(model) and takes_views(loaded)
         z = np.random.default_rng(5).standard_normal((6, 4))
         ctx = np.random.default_rng(6).standard_normal(8)
         np.testing.assert_array_equal(loaded.forward(z, context=ctx)[0],
