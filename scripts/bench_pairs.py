@@ -15,10 +15,14 @@ medians (change / base), the pairs the change won (ties count for
 neither), and whether that is a gain by the pair rule: every change run's
 checks passed, no larger share of operations failed than in the base,
 at least nine tenths of the pairs won and the medians further apart than
-the base's quartiles.  A run that exits non-zero or prints no result is
-recorded as crashed: incorrect, with no metrics, so its pair is left out
-of the quartiles but still counts against the pairs won.  Every run's
-metrics are kept in the file as well.
+the base's quartiles.  Against each metric's ``bound`` in BENCHMARK.json
+it also records whether the change stayed within the bound (its median no
+worse than the base's by more than that share of it) and whether the
+metric is unresolved (the base's quartile spread, over its median, wider
+than the bound, while not every change run beats every base run).  A run
+that exits non-zero or prints no result is recorded as crashed: incorrect,
+with no metrics, so its pair is left out of the quartiles but still counts
+against the pairs won.  Every run's metrics are kept in the file as well.
 """
 
 from __future__ import annotations
@@ -63,14 +67,15 @@ def crashed(run: dict) -> bool:
 
 def summarize(runs: list[dict], metrics: dict) -> dict:
     """Per workload and metric, both sides' quartiles, the ratio of the
-    medians and the pairs won.
+    medians, the pairs won and the verdicts against the metric's bound.
 
     ``runs`` holds one record per run: ``workload``, ``seed``, ``side``
     ("base" or "change"), ``attempted``, ``failed``, ``correct`` (whether
     every check passed), ``crashed`` and ``metrics`` (name -> value, empty
     for a crashed run).  A pair is the two sides' runs of one workload and
-    seed.  ``metrics`` maps each metric to "lower" or "higher", the better
-    direction.
+    seed.  ``metrics`` maps each metric to its BENCHMARK.json entry:
+    ``better`` ("lower" or "higher") and ``bound``, the share of the base's
+    median by which it may worsen.
     """
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
@@ -91,7 +96,8 @@ def summarize(runs: list[dict], metrics: dict) -> dict:
         sound = (summary["change_incorrect"] == 0
                  and summary["change_failed"] * summary["base_attempted"]
                  <= summary["base_failed"] * summary["change_attempted"])
-        for name, better in metrics.items():
+        for name, declared in metrics.items():
+            better, bound = declared["better"], declared["bound"]
             sign = 1.0 if better == "lower" else -1.0
             if not whole:
                 summary[name] = {"better": better, "pairs_won": 0,
@@ -103,13 +109,19 @@ def summarize(runs: list[dict], metrics: dict) -> dict:
             won = sum(sign * (c - b) < 0.0
                       for b, c in zip(values["base"], values["change"]))
             gain = sign * (base["median"] - change["median"])
+            spread = base["q3"] - base["q1"]
+            # every change run better than every base run
+            apart = max(sign * c for c in values["change"]) \
+                < min(sign * b for b in values["base"])
             summary[name] = {
                 "better": better, "base": base, "change": change,
                 "ratio": change["median"] / base["median"],
                 "pairs_won": int(won),
                 "gain_by_pair_rule": bool(
-                    sound and won >= 0.9 * len(pairs)
-                    and gain > base["q3"] - base["q1"]),
+                    sound and won >= 0.9 * len(pairs) and gain > spread),
+                "within_bound": bool(-gain <= bound * abs(base["median"])),
+                "unresolved": bool(spread > bound * abs(base["median"])
+                                   and not apart),
             }
         out[workload] = summary
     return out
@@ -154,7 +166,7 @@ def main(argv=None) -> int:
     declared = json.loads(Path("BENCHMARK.json").read_text())
     workloads = [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]
-    metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    metrics = {m["name"]: m for m in declared["end_to_end"]}
     base_rev = git("rev-parse", args.base)
     trees = {"change": Path.cwd()}
     runs = []
@@ -193,9 +205,12 @@ def main(argv=None) -> int:
             if "base" not in s:
                 print(f"{workload} {name}: no pair without a crash")
                 continue
+            verdict = ("unresolved" if s["unresolved"] else "within bound"
+                       if s["within_bound"] else "WORSE than its bound")
             print(f"{workload} {name}: {s['base']['median']:.4g} -> "
                   f"{s['change']['median']:.4g} ({s['ratio']:.3f}x), "
-                  f"{s['pairs_won']}/{summary['pairs']} pairs won")
+                  f"{s['pairs_won']}/{summary['pairs']} pairs won, {verdict}"
+                  + (", gain by the pair rule" if s["gain_by_pair_rule"] else ""))
     print(f"-> {path}")
     return 0
 

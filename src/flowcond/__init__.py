@@ -6,25 +6,14 @@ variational inference so that the composition samples from an approximate
 posterior given measurements.  The package also ships Langevin and
 latent-optimization baselines, uncertainty estimators, and an executable
 CNF-to-flow construction showing why exact conditioning is intractable.
-"""
 
-from .baselines import (Chain, LmcConfig, PointEstimate, csgm_estimate,
-                        ivom_estimate, lmc_sample)
-from .diffengine import Graph, backward, check_gradients
-from .estimators import (PixelMarginal, diversity, mmse_estimate, mse,
-                         mse_decomposition, pixel_marginal, psnr)
-from .flows import (ComposedSampler, CouplingLayer, DiagonalAffine, FlowModel,
-                    Mlp, Permutation, gaussian_logpdf, make_flow)
-from .measurement import (Downsample2xOp, GaussianOp, GrayscaleOp, MaskOp,
-                          Observation, make_observation)
-from .objective import (GridSpec, LossBreakdown, SmoothingSpec,
-                        joint_vs_marginal_gap, latent_kl_estimate, svi_loss)
-from .persist import (Dataset, load_checkpoint, load_run_config,
-                      make_blob_images, save_checkpoint, synth_dataset)
-from .satgadget import (CnfFormula, GadgetFlow, SatGadget, compile_gadget,
-                        conditional_sat_demo, delta_eps, parse_dimacs,
-                        to_dimacs, transformed_var)
-from .training import (AdamState, TrainConfig, TrainTrace, observation_context,
-                       stream_rng, train_amortized, train_base_mle, train_svi)
+The submodules are the API, and importing the package loads none of them:
+``flows`` (flow layers, models and the composed sampler), ``measurement``
+(operators and observations), ``objective`` (the smoothed VI loss),
+``training`` (fits and the optimizer), ``baselines`` (Langevin and point
+estimates), ``estimators`` (MMSE, MSE, diversity and pixel marginals),
+``satgadget`` (the 3-SAT hardness gadget), ``diffengine`` (the tape),
+``persist`` (files and run configs) and ``cli`` (the commands).
+"""
 
 __version__ = "0.1.0"

@@ -5,19 +5,24 @@ Every subcommand reads one run-config file (``--config``) plus optional
 directory, writes a manifest and its artifacts there, and prints a one-line
 summary.  Exit codes: 0 success, 2 config validation failure, 1 runtime
 failure (with a traceback file under the output directory when possible).
+
+Importing this module loads what every command needs; a command imports
+``baselines``, ``estimators`` or ``satgadget`` when it runs, so a call
+pays only for the modules it uses.  The argument parser is built once per
+process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, estimators, persist, satgadget
+from . import persist
 from .flows import ComposedSampler, make_flow
 from .measurement import (Downsample2xOp, GaussianOp, GrayscaleOp, MaskOp,
                           Observation, load_mask_file, make_observation)
@@ -169,6 +174,7 @@ def cmd_infer(cfg: RunConfig, out: Path) -> str:
 
 
 def cmd_lmc(cfg: RunConfig, out: Path) -> str:
+    from . import baselines
     config = baselines.LmcConfig(seed=cfg.seed, **cfg.args(
         "lmc", "step_size", "chain_length", "burn_in", "thinning"))
     base = _load_base(cfg)
@@ -189,6 +195,7 @@ def cmd_lmc(cfg: RunConfig, out: Path) -> str:
 
 
 def _point_command(cfg: RunConfig, out: Path, name: str) -> str:
+    from . import baselines, estimators
     base = _load_base(cfg)
     _, obs = _problem(cfg, base.dim)
     if name == "ivom":
@@ -249,6 +256,7 @@ def cmd_amortized_infer(cfg: RunConfig, out: Path) -> str:
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> str:
+    from . import estimators
     samples = persist.load_array(cfg.read("eval", "samples_path"))
     bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
     if len(bad):
@@ -314,6 +322,9 @@ def cmd_sigma_sweep(cfg: RunConfig, out: Path) -> str:
 
 
 def cmd_sat_demo(cfg: RunConfig, out: Path) -> str:
+    from importlib import resources
+
+    from . import satgadget
     settings = cfg.args("sat", "budget", "eps", "m_scale", "tau")
     if cfg.has("sat", "cnf_path"):
         formula = satgadget.load_dimacs(cfg.read("sat", "cnf_path"))
@@ -358,7 +369,10 @@ def _config_key(command: str, cfg: RunConfig, error: Exception) -> str | None:
                  in persist.KEYS.items() if field and spec.arg == field), None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the command line, built on the first call; parsing
+    leaves it unchanged, so every later call returns the same one."""
     parser = argparse.ArgumentParser(
         prog="flowcond",
         description="conditional inference experiments on flow priors")

@@ -15,8 +15,9 @@ Layer descriptors: 0 = permutation (u32 n, n*u32), 1/2 = additive/affine
 coupling (u32 n_cond + idx, u32 n_out + idx, u32 context_width, u32 n_widths
 + widths), 3 = diagonal affine (u32 d; scale then shift live in the blob).
 The blob is the model's parameter vector (:attr:`FlowModel.vector`): every
-layer's state arrays in order.  A load copies it once into the new model's
-vector and draws no random numbers.  Sample sets have magic
+layer's state arrays in order.  A load reads the blob in place, straight
+from the file into the array that becomes the new model's vector, and draws
+no random numbers.  Sample sets have magic
 "FLWA" and the head u32 rows, u32 cols; image datasets have magic "FLWI"
 and the head u32 height, width, channels, count.
 """
@@ -35,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .flows import (CouplingLayer, DiagonalAffine, FlowError, FlowModel, Mlp,
                     Permutation)
 from .training import TrainConfig, TrainingError
@@ -82,61 +84,83 @@ class ConfigError(ValueError):
 # binary helpers
 # ---------------------------------------------------------------------------
 
-class _Reader:
-    """Fields read in order from a view of a file's bytes, without copies."""
+# the fixed-size fields of the heads, little-endian
+_U8 = struct.Struct("<B")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_CHECKPOINT_HEAD = struct.Struct("<BII")
+_ARRAY_HEAD = struct.Struct("<II")
+_IMAGE_HEAD = struct.Struct("<IIII")
 
-    def __init__(self, data: bytes, what: str):
-        self._data = memoryview(data)
-        self._pos = 0
+
+class _Reader:
+    """Fields read in order from an open file: the head through precompiled
+    structs, then the blob in place, into the array it becomes.  Every size
+    is checked against the bytes left in the file before it is read, so a
+    corrupt count cannot become a huge allocation."""
+
+    def __init__(self, f, what: str):
+        self._f = f
+        self._left = os.fstat(f.fileno()).st_size
         self._what = what
 
-    def read(self, n: int) -> memoryview:
-        end = self._pos + n
-        if end > len(self._data):
-            raise TruncatedFile(f"{self._what}: truncated (wanted {n} bytes)")
-        out = self._data[self._pos:end]
-        self._pos = end
+    def _take(self, n: int) -> None:
+        if n > self._left:
+            raise TruncatedFile(f"{self._what}: truncated (wanted {n} bytes, "
+                                f"{self._left} left)")
+        self._left -= n
+
+    def read(self, n: int) -> bytes:
+        self._take(n)
+        out = self._f.read(n)
+        if len(out) != n:
+            raise TruncatedFile(f"{self._what}: truncated (file shrank)")
         return out
 
-    def unpack(self, fmt: str):
-        return struct.unpack("<" + fmt, self.read(struct.calcsize("<" + fmt)))
+    def unpack(self, fields: struct.Struct) -> tuple:
+        return fields.unpack(self.read(fields.size))
 
     def ints(self, n: int) -> np.ndarray:
         return np.frombuffer(self.read(4 * n), dtype="<u4").astype(np.intp)
 
     def payload(self, count: int) -> np.ndarray:
-        """The blob of ``count`` f64 values, checked against the crc32 that
-        must end the file."""
-        blob = self.read(8 * count)
-        (crc,) = self.unpack("I")
-        if self._pos != len(self._data):
+        """The blob of ``count`` f64 values, read into a new array and
+        checked against the crc32 that must end the file."""
+        if 8 * count + 4 < self._left:
             raise PersistError(f"{self._what}: trailing bytes after checksum")
+        self._take(8 * count)
+        blob = np.empty(count, dtype="<f8")
+        if self._f.readinto(blob) != blob.nbytes:
+            raise TruncatedFile(f"{self._what}: truncated (file shrank)")
+        (crc,) = self.unpack(_U32)
         if zlib.crc32(blob) & 0xFFFFFFFF != crc:
             raise ChecksumMismatch(f"{self._what}: checksum mismatch")
-        return np.frombuffer(blob, dtype="<f8")
+        return blob
 
 
 def _write_file(path, magic: bytes, head: bytes, arrays) -> None:
     """Write magic | u32 version | head | f64 blob of ``arrays`` | crc32."""
     blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     with open(path, "wb") as f:
-        f.write(magic + struct.pack("<I", FORMAT_VERSION) + head)
+        f.write(magic + _U32.pack(FORMAT_VERSION) + head)
         f.write(blob)
-        f.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+        f.write(_U32.pack(zlib.crc32(blob) & 0xFFFFFFFF))
 
 
-def _open_file(path, magic: bytes, what: str) -> _Reader:
-    """A reader positioned after the magic and the version, both checked."""
+@contextlib.contextmanager
+def _open_file(path, magic: bytes, what: str):
+    """A reader of the open file, positioned after the magic and the
+    version, both checked."""
     with open(path, "rb") as f:
-        r = _Reader(f.read(), str(path))
-    found = r.read(4)
-    if found != magic:
-        raise PersistError(f"{path}: not {what} (magic {found!r})")
-    (version,) = r.unpack("I")
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(f"{path}: format version {version}, expected "
-                              f"{FORMAT_VERSION}")
-    return r
+        r = _Reader(f, str(path))
+        found = r.read(4)
+        if found != magic:
+            raise PersistError(f"{path}: not {what} (magic {found!r})")
+        (version,) = r.unpack(_U32)
+        if version != FORMAT_VERSION:
+            raise VersionMismatch(f"{path}: format version {version}, "
+                                  f"expected {FORMAT_VERSION}")
+        yield r
 
 
 def _pack_ints(values) -> bytes:
@@ -166,22 +190,22 @@ def _layer_descriptor(layer) -> bytes:
 def _read_layer(r: _Reader):
     """The layer a descriptor names; its state arrays are placeholders of
     the right shapes, which the model's vector then replaces."""
-    (code,) = r.unpack("B")
+    (code,) = r.unpack(_U8)
     if code == 0:
-        (n,) = r.unpack("I")
+        (n,) = r.unpack(_U32)
         return Permutation(r.ints(n))
     if code in (1, 2):
-        (n_cond,) = r.unpack("I")
+        (n_cond,) = r.unpack(_U32)
         idx_cond = r.ints(n_cond)
-        (n_out,) = r.unpack("I")
+        (n_out,) = r.unpack(_U32)
         idx_out = r.ints(n_out)
-        (ctx,) = r.unpack("I")
-        (n_widths,) = r.unpack("I")
+        (ctx,) = r.unpack(_U32)
+        (n_widths,) = r.unpack(_U32)
         widths = r.ints(n_widths).tolist()
         return CouplingLayer("additive" if code == 1 else "affine",
                              idx_cond, idx_out, Mlp(widths), ctx)
     if code == 3:
-        (d,) = r.unpack("I")
+        (d,) = r.unpack(_U32)
         return DiagonalAffine(np.ones(d))
     raise PersistError(f"unknown layer code {code}")
 
@@ -189,38 +213,39 @@ def _read_layer(r: _Reader):
 def save_checkpoint(model: FlowModel, path, kind: str) -> None:
     if kind not in _KIND_CODES:
         raise PersistError(f"unknown checkpoint kind {kind!r}")
-    head = struct.pack("<BIII", _KIND_CODES[kind], model.dim,
-                       model.context_width, len(model.layers))
+    head = _CHECKPOINT_HEAD.pack(_KIND_CODES[kind], model.dim,
+                                 model.context_width)
+    head += _U32.pack(len(model.layers))
     head += b"".join(_layer_descriptor(layer) for layer in model.layers)
     vector = model.vector
-    head += struct.pack("<Q", vector.size)
+    head += _U64.pack(vector.size)
     _write_file(path, CHECKPOINT_MAGIC, head, [vector])
 
 
 def load_checkpoint(path, expected_kind: str | None = None) -> FlowModel:
-    r = _open_file(path, CHECKPOINT_MAGIC, "a checkpoint")
-    kind_code, dim, context_width = r.unpack("BII")
-    kind = _KIND_NAMES.get(kind_code)
-    if kind is None:
-        raise PersistError(f"{path}: unknown model kind code {kind_code}")
-    if expected_kind is not None and kind != expected_kind:
-        raise KindMismatch(f"{path}: checkpoint kind {kind!r}, expected "
-                           f"{expected_kind!r}")
-    (n_layers,) = r.unpack("I")
-    # layers check the partition or permutation they are handed, and a
-    # diagonal layer its scale (caching its log-determinant), so a bad
-    # descriptor or stored scale fails here
-    try:
-        layers = [_read_layer(r) for _ in range(n_layers)]
-        (count,) = r.unpack("Q")
-        expected = sum(a.size for layer in layers for a in layer.state_arrays())
-        if count != expected:
-            raise PersistError(f"{path}: descriptor implies {expected} "
-                               f"parameters, blob declares {count}")
-        vector = r.payload(count).copy()
-        return FlowModel(dim, layers, context_width, vector)
-    except FlowError as e:
-        raise PersistError(f"{path}: {e}") from None
+    with _open_file(path, CHECKPOINT_MAGIC, "a checkpoint") as r:
+        kind_code, dim, context_width = r.unpack(_CHECKPOINT_HEAD)
+        kind = _KIND_NAMES.get(kind_code)
+        if kind is None:
+            raise PersistError(f"{path}: unknown model kind code {kind_code}")
+        if expected_kind is not None and kind != expected_kind:
+            raise KindMismatch(f"{path}: checkpoint kind {kind!r}, expected "
+                               f"{expected_kind!r}")
+        (n_layers,) = r.unpack(_U32)
+        # layers check the partition or permutation they are handed, and a
+        # diagonal layer its scale (caching its log-determinant), so a bad
+        # descriptor or stored scale fails here
+        try:
+            layers = [_read_layer(r) for _ in range(n_layers)]
+            (count,) = r.unpack(_U64)
+            expected = sum(a.size for layer in layers
+                           for a in layer.state_arrays())
+            if count != expected:
+                raise PersistError(f"{path}: descriptor implies {expected} "
+                                   f"parameters, blob declares {count}")
+            return FlowModel(dim, layers, context_width, r.payload(count))
+        except FlowError as e:
+            raise PersistError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +258,13 @@ def save_array(path, arr) -> None:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise PersistError("array files hold 2-d data")
-    _write_file(path, ARRAY_MAGIC, struct.pack("<II", *arr.shape), [arr])
+    _write_file(path, ARRAY_MAGIC, _ARRAY_HEAD.pack(*arr.shape), [arr])
 
 
 def load_array(path) -> np.ndarray:
-    r = _open_file(path, ARRAY_MAGIC, "an array file")
-    rows, cols = r.unpack("II")
-    return r.payload(rows * cols).reshape(rows, cols).copy()
+    with _open_file(path, ARRAY_MAGIC, "an array file") as r:
+        rows, cols = r.unpack(_ARRAY_HEAD)
+        return r.payload(rows * cols).reshape(rows, cols)
 
 
 @dataclass
@@ -271,14 +296,14 @@ class Dataset:
 def save_image_dataset(path, dataset: Dataset) -> None:
     if dataset.image_shape is None:
         raise PersistError("dataset has no image shape")
-    head = struct.pack("<IIII", *dataset.image_shape, dataset.samples.shape[0])
+    head = _IMAGE_HEAD.pack(*dataset.image_shape, dataset.samples.shape[0])
     _write_file(path, IMAGE_MAGIC, head, [dataset.samples])
 
 
 def load_image_dataset(path) -> Dataset:
-    r = _open_file(path, IMAGE_MAGIC, "an image dataset")
-    h, w, c, count = r.unpack("IIII")
-    samples = r.payload(h * w * c * count).reshape(count, h * w * c).copy()
+    with _open_file(path, IMAGE_MAGIC, "an image dataset") as r:
+        h, w, c, count = r.unpack(_IMAGE_HEAD)
+        samples = r.payload(h * w * c * count).reshape(count, h * w * c)
     return Dataset(kind="image-grid", samples=samples, image_shape=(h, w, c))
 
 
@@ -583,14 +608,6 @@ def load_run_config(path, overrides=()) -> RunConfig:
 # manifests and the output lock
 # ---------------------------------------------------------------------------
 
-def package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("flowcond")
-    except Exception:
-        return "unknown"
-
-
 def write_manifest(output_dir, cfg: RunConfig, command: str) -> Path:
     path = Path(output_dir) / "manifest.txt"
     lines = [
@@ -598,7 +615,7 @@ def write_manifest(output_dir, cfg: RunConfig, command: str) -> Path:
         f"config={cfg.path}",
         f"config_sha256={cfg.config_hash()}",
         f"seed={cfg.seed}",
-        f"flowcond_version={package_version()}",
+        f"flowcond_version={__version__}",
         f"numpy_version={np.__version__}",
     ]
     for ov in cfg.overrides:

@@ -1,5 +1,6 @@
-"""The paired-benchmark summary: quartiles, ratio of medians, pairs won
-and the pair rule, from hand-made runs."""
+"""The paired-benchmark summary: quartiles, ratio of medians, pairs won,
+the pair rule and the verdicts against each metric's bound, from
+hand-made runs."""
 
 import importlib.util
 from pathlib import Path
@@ -24,7 +25,8 @@ def runs(workload, base, change, failed=(0, 0), correct=(True, True)):
     return out
 
 
-METRICS = {"t": "lower", "rate": "higher"}
+METRICS = {"t": {"better": "lower", "bound": 0.25},
+           "rate": {"better": "higher", "bound": 0.25}}
 
 
 def test_quartiles_are_numpy_linear_percentiles():
@@ -167,3 +169,45 @@ def test_every_pair_crashed_gives_no_quartiles():
     s = bench_pairs.summarize(r, METRICS)["w"]
     assert s["t"] == {"better": "lower", "pairs_won": 0,
                       "gain_by_pair_rule": False}
+
+
+@pytest.mark.parametrize("factor, within", [(1.2, True), (1.25, True),
+                                            (1.3, False), (0.5, True)])
+def test_within_bound_compares_medians_by_the_bound(factor, within):
+    # 't' may grow by a quarter of the base median: 2.0 -> 2.5 at most
+    base = [2.0] * 10
+    s = bench_pairs.summarize(runs("w", base, [factor * b for b in base]),
+                              METRICS)["w"]
+    assert s["t"]["within_bound"] is within
+    assert not s["t"]["unresolved"]
+
+
+@pytest.mark.parametrize("rate, within", [(0.76, True), (0.74, False),
+                                          (2.0, True)])
+def test_within_bound_follows_the_better_direction(rate, within):
+    # 'rate' is better higher: a median below 0.75 of the base's is worse
+    # than the bound
+    r = runs("w", [1.0] * 10, [1.0] * 10)
+    for run in r:
+        if run["side"] == "change":
+            run["metrics"]["rate"] = rate
+    s = bench_pairs.summarize(r, METRICS)["w"]
+    assert s["rate"]["within_bound"] is within
+
+
+def test_a_base_spread_wider_than_the_bound_is_unresolved():
+    # base quartiles 1.0 and 1.6 around a median of 1.3: a spread of 46%
+    base = [0.8, 1.0, 1.0, 1.0, 1.3, 1.3, 1.6, 1.6, 1.6, 1.8]
+    s = bench_pairs.summarize(runs("w", base, list(reversed(base))),
+                              METRICS)["w"]
+    assert s["t"]["unresolved"] and s["t"]["within_bound"]
+    assert s["rate"]["unresolved"]
+
+
+def test_a_wide_spread_is_resolved_when_every_change_run_is_better():
+    base = [0.8, 1.0, 1.0, 1.0, 1.3, 1.3, 1.6, 1.6, 1.6, 1.8]
+    s = bench_pairs.summarize(runs("w", base, [0.7] * 10), METRICS)["w"]
+    assert not s["t"]["unresolved"] and not s["rate"]["unresolved"]
+    # and a change worse in every run, beyond the bound, is no better
+    s = bench_pairs.summarize(runs("w", base, [2.0] * 10), METRICS)["w"]
+    assert s["t"]["unresolved"] and not s["t"]["within_bound"]

@@ -7,13 +7,16 @@ examples match the table of keys a run file may set."""
 import configparser
 import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowcond.cli import main
+import flowcond
+from flowcond.cli import build_parser, main
 from flowcond.flows import CouplingLayer
 from flowcond.persist import KEYS, load_array, load_checkpoint, save_array
 
@@ -702,6 +705,32 @@ budget = 500
             main(argv)
         assert exc.value.code == 2
         assert "usage: flowcond" in capsys.readouterr().err
+
+
+class TestProcessCost:
+    """What a call pays for besides its command: one parser per process,
+    and only the modules every command needs at import."""
+
+    def test_parser_built_once_and_left_unchanged(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        first = parser.parse_args(["infer", "--config", "a.cfg",
+                                   "--set", "run.seed=1"])
+        second = parser.parse_args(["infer", "--config", "b.cfg"])
+        assert first.set == ["run.seed=1"]
+        assert second.set == [] and second.config == "b.cfg"
+
+    def test_import_leaves_out_what_commands_load_on_demand(self):
+        src = Path(flowcond.__file__).resolve().parents[1]
+        code = ("import sys, flowcond.cli; print(' '.join(sorted("
+                "m for m in sys.modules if m.startswith('flowcond'))))")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        loaded = set(done.stdout.split())
+        assert "flowcond.cli" in loaded
+        assert not loaded & {"flowcond.baselines", "flowcond.estimators",
+                             "flowcond.satgadget"}
 
 
 class TestImageTasks:

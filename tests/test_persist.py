@@ -6,12 +6,15 @@ import os
 import struct
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowcond
 from flowcond.flows import (CouplingLayer, DiagonalAffine, FlowModel,
                             Permutation)
 from flowcond.persist import (ChecksumMismatch, ConfigError, Dataset,
@@ -150,6 +153,58 @@ class TestArrayFiles:
         with pytest.raises(ChecksumMismatch):
             load_array(path)
 
+    def test_load_holds_one_copy_of_the_blob(self, tmp_path):
+        # the blob is read in place into the array it becomes: no whole-file
+        # bytes object next to it, and no copy after the read
+        path = tmp_path / "a.flwa"
+        save_array(path, np.random.default_rng(13).standard_normal((2000, 64)))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            out = load_array(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == size - 20        # magic, version, head, crc32
+        assert peak <= 1.1 * size
+
+
+def assert_plain_array(loaded, saved):
+    """``loaded`` is a writable, aligned, C-contiguous float64 array with
+    ``saved``'s bits."""
+    assert loaded.dtype == np.float64
+    assert loaded.flags.writeable and loaded.flags.aligned
+    assert loaded.flags.c_contiguous
+    assert loaded.tobytes() == np.asarray(saved, dtype=np.float64).tobytes()
+
+
+class TestLoadedArrays:
+    """Loaded blobs are ordinary arrays that callers may write to."""
+
+    def test_array_file(self, tmp_path):
+        arr = np.random.default_rng(14).standard_normal((7, 3))
+        arr[0, 0] = -0.0
+        save_array(tmp_path / "a.flwa", arr)
+        assert_plain_array(load_array(tmp_path / "a.flwa"), arr)
+
+    def test_empty_array_file(self, tmp_path):
+        save_array(tmp_path / "a.flwa", np.zeros((0, 3)))
+        out = load_array(tmp_path / "a.flwa")
+        assert out.shape == (0, 3)
+        assert_plain_array(out, np.zeros((0, 3)))
+
+    def test_image_dataset(self, tmp_path):
+        ds = make_blob_images(5, 4, 4, seed=15)
+        save_image_dataset(tmp_path / "i.flwi", ds)
+        assert_plain_array(load_image_dataset(tmp_path / "i.flwi").samples,
+                           ds.samples)
+
+    def test_checkpoint_vector(self, tmp_path):
+        model = perturbed_flow(3, "affine", seed=16)
+        save_checkpoint(model, tmp_path / "m.ckpt", "base")
+        loaded = load_checkpoint(tmp_path / "m.ckpt", "base")
+        assert_plain_array(loaded.vector, model.vector)
+
 
 class TestImageDataset:
     def test_roundtrip(self, tmp_path):
@@ -241,7 +296,23 @@ CORRUPTIONS = {
                              ChecksumMismatch, "checksum mismatch"),
     "bytes-after-checksum": (lambda raw: raw + b"\x00", PersistError,
                              "trailing bytes after checksum"),
+    "huge-count": (lambda raw: huge_count(raw), TruncatedFile, "truncated"),
 }
+
+
+def huge_count(raw):
+    """``raw`` with the first count of its head set to 2**32 - 1: an
+    array file's rows and cols, an image dataset's image count, or the
+    first index count of a checkpoint's first layer descriptor."""
+    huge = struct.pack("<I", 2**32 - 1)
+    magic = raw[:4]
+    if magic == b"FLWA":                # head: rows, cols
+        return raw[:8] + 2 * huge + raw[16:]
+    if magic == b"FLWI":                # head: height, width, channels, count
+        return raw[:20] + huge + raw[24:]
+    # checkpoint head: u8 kind, u32 dim, u32 context, u32 n_layers, then
+    # the first descriptor's u8 code and its first u32 count
+    return raw[:22] + huge + raw[26:]
 
 
 class TestBinaryFrame:
@@ -491,6 +562,19 @@ class TestRunConfig:
         assert "seed=3" in text
         assert "override=train.num_steps=5" in text
         assert "numpy_version=" in text
+
+    def test_manifest_records_package_version(self, tmp_path):
+        # from a source tree with nothing installed, as the suite runs
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(CONFIG.format(out=tmp_path))
+        text = write_manifest(tmp_path, load_run_config(cfg_path), "infer").read_text()
+        assert "flowcond_version=0.1.0\n" in text
+
+    def test_package_version_is_pyproject_version(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as f:
+            declared = tomllib.load(f)["project"]["version"]
+        assert flowcond.__version__ == declared
 
 
 class TestOutputLock:
