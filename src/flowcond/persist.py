@@ -104,10 +104,14 @@ class _Reader:
         self._left = os.fstat(f.fileno()).st_size
         self._what = what
 
-    def _take(self, n: int) -> None:
+    def holds(self, n: int) -> None:
+        """Raise TruncatedFile unless ``n`` more bytes are left."""
         if n > self._left:
             raise TruncatedFile(f"{self._what}: truncated (wanted {n} bytes, "
                                 f"{self._left} left)")
+
+    def _take(self, n: int) -> None:
+        self.holds(n)
         self._left -= n
 
     def read(self, n: int) -> bytes:
@@ -189,7 +193,8 @@ def _layer_descriptor(layer) -> bytes:
 
 def _read_layer(r: _Reader):
     """The layer a descriptor names; its state arrays are placeholders of
-    the right shapes, which the model's vector then replaces."""
+    the right shapes, which the model's vector then replaces.  The blob
+    must be able to hold them before they are allocated."""
     (code,) = r.unpack(_U8)
     if code == 0:
         (n,) = r.unpack(_U32)
@@ -202,10 +207,12 @@ def _read_layer(r: _Reader):
         (ctx,) = r.unpack(_U32)
         (n_widths,) = r.unpack(_U32)
         widths = r.ints(n_widths).tolist()
+        r.holds(8 * sum(a * b + b for a, b in zip(widths, widths[1:])))
         return CouplingLayer("additive" if code == 1 else "affine",
                              idx_cond, idx_out, Mlp(widths), ctx)
     if code == 3:
         (d,) = r.unpack(_U32)
+        r.holds(16 * d)
         return DiagonalAffine(np.ones(d))
     raise PersistError(f"unknown layer code {code}")
 

@@ -366,6 +366,22 @@ class TestBinaryFrame:
         with pytest.raises(PersistError, match="diagonal scale"):
             load_checkpoint(tmp_path / "m.ckpt")
 
+    @pytest.mark.parametrize("descriptor", [
+        struct.pack("<BI", 3, 2**32 - 1),                 # diagonal, d
+        struct.pack("<BIIIIII3I", 2, 1, 0, 1, 1, 0,       # coupling widths
+                    3, 1, 2**31, 1)],
+        ids=["diagonal", "coupling"])
+    def test_huge_layer_is_truncated_before_it_is_built(self, tmp_path,
+                                                        descriptor):
+        # a hand-built file whose one layer needs more values than the
+        # file holds: the placeholders are never allocated
+        (tmp_path / "m.ckpt").write_bytes(
+            b"FLWC" + struct.pack("<I", 1) + struct.pack("<BII", 0, 2, 0)
+            + struct.pack("<I", 1) + descriptor
+            + struct.pack("<Q", 0) + struct.pack("<I", zlib.crc32(b"")))
+        with pytest.raises(TruncatedFile, match="truncated"):
+            load_checkpoint(tmp_path / "m.ckpt")
+
     @pytest.mark.parametrize("perm", [(0, 0), (1, 2)])
     def test_permutation_checked_on_load(self, tmp_path, perm):
         # a hand-built file: a permutation layer's tape adjoint is the
