@@ -6,7 +6,6 @@ import os
 import struct
 import subprocess
 import sys
-import tomllib
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -285,20 +284,6 @@ FORMATS = {
              load_image_dataset),
 }
 
-# name -> (edit of the file's bytes, error the loader raises, message)
-CORRUPTIONS = {
-    "wrong-magic": (lambda raw: b"NOPE" + raw[4:], PersistError, "not a"),
-    "wrong-version": (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:],
-                      VersionMismatch, "format version 2, expected 1"),
-    "truncated": (lambda raw: raw[:-1], TruncatedFile, "truncated"),
-    # byte -12 lies in the last f64 of the blob, before the 4-byte crc32
-    "flipped-payload-byte": (lambda raw: raw[:-12] + bytes([raw[-12] ^ 1]) + raw[-11:],
-                             ChecksumMismatch, "checksum mismatch"),
-    "bytes-after-checksum": (lambda raw: raw + b"\x00", PersistError,
-                             "trailing bytes after checksum"),
-    "huge-count": (lambda raw: huge_count(raw), TruncatedFile, "truncated"),
-}
-
 
 def huge_count(raw):
     """``raw`` with the first count of its head set to 2**32 - 1: an
@@ -313,6 +298,21 @@ def huge_count(raw):
     # checkpoint head: u8 kind, u32 dim, u32 context, u32 n_layers, then
     # the first descriptor's u8 code and its first u32 count
     return raw[:22] + huge + raw[26:]
+
+
+# name -> (edit of the file's bytes, error the loader raises, message)
+CORRUPTIONS = {
+    "wrong-magic": (lambda raw: b"NOPE" + raw[4:], PersistError, "not a"),
+    "wrong-version": (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:],
+                      VersionMismatch, "format version 2, expected 1"),
+    "truncated": (lambda raw: raw[:-1], TruncatedFile, "truncated"),
+    # byte -12 lies in the last f64 of the blob, before the 4-byte crc32
+    "flipped-payload-byte": (lambda raw: raw[:-12] + bytes([raw[-12] ^ 1]) + raw[-11:],
+                             ChecksumMismatch, "checksum mismatch"),
+    "bytes-after-checksum": (lambda raw: raw + b"\x00", PersistError,
+                             "trailing bytes after checksum"),
+    "huge-count": (huge_count, TruncatedFile, "truncated"),
+}
 
 
 class TestBinaryFrame:
@@ -587,6 +587,7 @@ class TestRunConfig:
         assert "flowcond_version=0.1.0\n" in text
 
     def test_package_version_is_pyproject_version(self):
+        tomllib = pytest.importorskip("tomllib")     # Python 3.11 on
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with open(pyproject, "rb") as f:
             declared = tomllib.load(f)["project"]["version"]
