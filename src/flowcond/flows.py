@@ -12,33 +12,31 @@ biases, diagonal scales and shifts -- in one contiguous float64 vector,
 in checkpoint descriptor order, and each layer holds views of it.  That
 vector is a checkpoint's blob, and the optimizer steps it as a whole.
 
-Every pass has two forms.  ``forward_array``/``inverse_array`` are plain
-numpy: :meth:`FlowModel.forward`, ``inverse``, ``log_prob``, ``sample`` and
-all of :class:`ComposedSampler` use them, so no graph is built where no
-gradient is taken.  :meth:`FlowModel.forward_node`/``inverse_node`` put a
-whole pass on the diffengine tape for the losses as one node, whose
-parents are the input, the context and one leaf for the model's whole
-vector, and two nodes that read its output and its log-det.  Each layer's
-``forward_node``/``inverse_node`` computes its part of that pass on arrays
-and returns a hand-written vector-Jacobian product (the additive/affine
-coupling Jacobians of RealNVP, Dinh et al., arXiv:1605.08803); the node's
-adjoint walks them in reverse and writes the weight gradients straight
-into views of one flat gradient.  Passed ``bind=None``, a tape pass
-treats the weights as constants, records no weight leaf and computes no
-weight gradients, which is how the frozen base runs inside the losses.
+Each layer kind has one pass body, ``_pass(x, context, params, inverse,
+with_vjp)``, on arrays.  It returns the output, the log-det (None where
+it is 0) and, with ``with_vjp``, a hand-written vector-Jacobian product
+(the additive/affine coupling Jacobians of RealNVP, Dinh et al.,
+arXiv:1605.08803); without it, the pass keeps no activations and builds
+no closures.  :meth:`FlowModel.forward`, ``inverse``, ``log_prob``,
+``sample`` and all of :class:`ComposedSampler` run the layers' bodies
+without VJPs, so no graph is built where no gradient is taken.
+:meth:`FlowModel.forward_node`/``inverse_node`` run the same bodies with
+VJPs, through each layer's ``forward_node``/``inverse_node``, and put the
+whole pass on the diffengine tape as one node, whose parents are the
+input, the context and one leaf for the model's whole vector, and two
+nodes that read its output and its log-det.  The node's adjoint walks the
+VJPs in reverse and writes the weight gradients straight into views of
+one flat gradient.  Passed ``bind=None``, a tape pass treats the weights
+as constants, records no weight leaf and computes no weight gradients,
+which is how the frozen base runs inside the losses.  Since both fronts
+run one body, a value-only pass gives the tape's values bit for bit.
 
 Index sets are views.  A coupling's conditioning and coupled sets and a
 permutation's order are held as a ``slice`` when they step evenly, as
 every set :func:`make_flow` builds does (even/odd splits, reversals), and
 as an index array otherwise; every gather, scatter and adjoint indexes
-with ``x[:, index]``, which takes both.
-
-The two forms agree to rounding.  They differ only in the memory layout
-of the copies they gather, which BLAS reads at a speed and, for small
-matmuls, with a rounding that depend on it: the tape front copies in C
-order, the array front in F order, whichever kind of index set it reads.
-:meth:`FlowModel.forward_as_tape` gives the tape's values bit for bit
-without a tape.
+with ``x[:, index]``, which takes both.  A conditioner's input and a
+permutation's output are C-ordered copies of their gathers.
 """
 
 from __future__ import annotations
@@ -199,21 +197,23 @@ class Mlp:
                 np.tanh(h, out=h)
         return h
 
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        return self._run(x, self.weights, self.biases)
-
     def forward_node(self, x: np.ndarray, params=None):
-        """The network on the array ``x`` for a flow's tape node: the output
-        and its vector-Jacobian product.  ``params`` are the weights then
-        the biases (the network's own when None).  ``vjp(g, grads)``
-        returns the adjoint of ``x`` and, given ``grads`` (arrays shaped
-        like :meth:`parameters`), writes the weight and bias gradients
-        into them."""
+        return self._pass(x, params, with_vjp=True)
+
+    def _pass(self, x: np.ndarray, params, with_vjp: bool):
+        """The network on the array ``x``: the output and, ``with_vjp``,
+        its vector-Jacobian product (else None).  ``params`` are the
+        weights then the biases (the network's own when None).
+        ``vjp(g, grads)`` returns the adjoint of ``x`` and, given ``grads``
+        (arrays shaped like :meth:`parameters`), writes the weight and
+        bias gradients into them."""
         n = len(self.weights)
         weights, biases = ((self.weights, self.biases) if params is None
                            else (params[:n], params[n:]))
-        acts = []
+        acts = [] if with_vjp else None
         out = self._run(x, weights, biases, acts)
+        if not with_vjp:
+            return out, None
 
         def vjp(g, grads=None):
             ones = None if grads is None else np.ones((1, g.shape[0]))
@@ -256,6 +256,7 @@ class Permutation:
             raise FlowError("permutation must reorder 0..d-1")
         self.inv = np.argsort(self.perm)
         self._order, self._undo = _index(order), _index(self.inv.tolist())
+        self.dim = len(order)
 
     def state_arrays(self):
         return []
@@ -263,19 +264,17 @@ class Permutation:
     def set_state(self, arrays):
         pass
 
-    def forward_array(self, x, context=None):
-        return np.asfortranarray(x[:, self._order]), None
-
-    def inverse_array(self, y, context=None):
-        return np.asfortranarray(y[:, self._undo]), None
-
-    # the tape passes of FlowModel: output, log-det (none) and adjoint
-
     def forward_node(self, x, context=None, params=None):
-        return x[:, self._order].copy(), None, _gather_vjp(self._undo)
+        return self._pass(x, context, params, inverse=False, with_vjp=True)
 
     def inverse_node(self, y, context=None, params=None):
-        return y[:, self._undo].copy(), None, _gather_vjp(self._order)
+        return self._pass(y, context, params, inverse=True, with_vjp=True)
+
+    def _pass(self, x, context, params, inverse, with_vjp):
+        """The gather by the order (its inverse going back), no log-det,
+        and, ``with_vjp``, the gather that is its adjoint."""
+        index, undo = (self._undo, self._order) if inverse else (self._order, self._undo)
+        return x[:, index].copy(), None, (_gather_vjp(undo) if with_vjp else None)
 
 
 def _gather_vjp(index):
@@ -303,6 +302,9 @@ class DiagonalAffine:
                  else np.asarray(shift, dtype=np.float64).copy())
         if shift.shape != scale.shape:
             raise FlowError("scale and shift must share a shape")
+        if scale.ndim != 1:
+            raise FlowError("scale and shift must be vectors")
+        self.dim = scale.shape[0]
         self.set_state([scale, shift])
 
     def state_arrays(self):
@@ -318,28 +320,31 @@ class DiagonalAffine:
         self.scale, self.shift = scale, shift
         self.logdet = float(np.sum(np.log(np.abs(scale))))
 
-    def forward_array(self, x, context=None):
-        return x * self.scale + self.shift, np.full(x.shape[0], self.logdet)
-
-    def inverse_array(self, y, context=None):
-        return (y - self.shift) * (1.0 / self.scale), np.full(y.shape[0], -self.logdet)
-
-    # the tape passes of FlowModel; the state is a constant, its gradient 0
-
     def forward_node(self, x, context=None, params=None):
-        return self.forward_array(x) + (self._vjp(self.scale),)
+        return self._pass(x, context, params, inverse=False, with_vjp=True)
 
     def inverse_node(self, y, context=None, params=None):
-        return self.inverse_array(y) + (self._vjp(1.0 / self.scale),)
+        return self._pass(y, context, params, inverse=True, with_vjp=True)
 
-    @staticmethod
-    def _vjp(factor):
+    def _pass(self, x, context, params, inverse, with_vjp):
+        """The map or its inverse, its constant log-det and, ``with_vjp``,
+        its adjoint; the state is a constant, its gradient 0."""
+        n = x.shape[0]
+        if inverse:
+            factor = 1.0 / self.scale
+            y, ld = (x - self.shift) * factor, np.full(n, -self.logdet)
+        else:
+            factor = self.scale
+            y, ld = x * factor + self.shift, np.full(n, self.logdet)
+        if not with_vjp:
+            return y, ld, None
+
         def vjp(g_y, g_ld, grads):
             for g in grads or ():
                 g.fill(0.0)
             return g_y * factor, None
 
-        return vjp
+        return y, ld, vjp
 
 
 class CouplingLayer:
@@ -360,6 +365,7 @@ class CouplingLayer:
         if sorted(cond + out) != list(range(len(cond) + len(out))):
             raise FlowError("partition must split 0..d-1 into disjoint sets")
         self._cond, self._out = _index(cond), _index(out)
+        self.dim = len(cond) + len(out)
         self.conditioner = conditioner
         self.context_width = int(context_width)
         k = len(self.idx_out)
@@ -384,7 +390,7 @@ class CouplingLayer:
         return np.concatenate([xc, context], axis=1)
 
     def _assemble(self, xc, yo):
-        y = np.empty((xc.shape[0], len(self.idx_cond) + len(self.idx_out)))
+        y = np.empty((xc.shape[0], self.dim))
         y[:, self._cond] = xc
         y[:, self._out] = yo
         return y
@@ -408,39 +414,31 @@ class CouplingLayer:
         return (centred * inv_scale, -1.0 * np.sum(log_scale, axis=1),
                 (t, inv_scale, centred))
 
-    def forward_array(self, x, context=None):
-        xc = np.asfortranarray(x[:, self._cond])
-        h = self.conditioner.forward_array(self._net_input(xc, context))
-        yo, ld, _ = self._couple(x[:, self._out], h, inverse=False)
-        return self._assemble(xc, yo), ld
-
-    def inverse_array(self, y, context=None):
-        yc = np.asfortranarray(y[:, self._cond])
-        h = self.conditioner.forward_array(self._net_input(yc, context))
-        xo, ld, _ = self._couple(y[:, self._out], h, inverse=True)
-        return self._assemble(yc, xo), ld
-
     def forward_node(self, x, context=None, params=None):
-        return self._pass(x, context, params, inverse=False)
+        return self._pass(x, context, params, inverse=False, with_vjp=True)
 
     def inverse_node(self, y, context=None, params=None):
-        return self._pass(y, context, params, inverse=True)
+        return self._pass(y, context, params, inverse=True, with_vjp=True)
 
-    def _pass(self, x, context, params, inverse):
-        """One pass on arrays for a flow's tape node: the output, the
-        log-det (None when additive) and ``vjp(g_y, g_ld, grads)``, which
-        returns the adjoints of ``x`` and of the context (None without
-        one) and writes the conditioner's gradients into ``grads`` when
-        given.  The products, sums and memory layouts are those of the
-        per-op path (tests/flow_reference.py), in its order: the index
-        sets are views, and the conditioner's input is a C-ordered copy,
-        as ``np.take`` gathers it there."""
+    def _pass(self, x, context, params, inverse, with_vjp):
+        """One pass on arrays: the output, the log-det (None when additive)
+        and, ``with_vjp``, ``vjp(g_y, g_ld, grads)``, which returns the
+        adjoints of ``x`` and of the context (None without one) and writes
+        the conditioner's gradients into ``grads`` when given.  The
+        products, sums and memory layouts are those of the per-op path
+        (tests/flow_reference.py), in its order: the index sets are views,
+        and the conditioner's input is a C-ordered copy, as ``np.take``
+        gathers it there."""
         cond, out = self._cond, self._out
         xc = x[:, cond].copy()
-        h, net_vjp = self.conditioner.forward_node(
-            self._net_input(xc, context), params)
+        net_in = self._net_input(xc, context)
+        # a value-only pass keeps the conditioner off its traced entry point
+        h, net_vjp = (self.conditioner.forward_node(net_in, params) if with_vjp
+                      else self.conditioner._pass(net_in, params, with_vjp=False))
         yo, ld, saved = self._couple(x[:, out], h, inverse)
         y = self._assemble(xc, yo)
+        if not with_vjp:
+            return y, ld, None
         n, d = y.shape
         kc = xc.shape[1]
 
@@ -530,6 +528,14 @@ class FlowModel:
         self.dim = int(dim)
         self.layers = list(layers)
         self.context_width = int(context_width)
+        for layer in self.layers:
+            if layer.dim != self.dim:
+                raise FlowError(f"a layer of width {layer.dim} in a flow on "
+                                f"R^{self.dim}")
+            width = layer.context_width if isinstance(layer, CouplingLayer) else 0
+            if width not in (0, self.context_width):
+                raise FlowError(f"a coupling of context width {width} in a "
+                                f"flow of context width {self.context_width}")
         arrays = self.parameters()
         size = sum(a.size for a in arrays)
         if vector is None:
@@ -587,15 +593,23 @@ class FlowModel:
             self._grad_views = (flat, views)
         return views
 
-    def _tape_arrays(self, x, ctx, states, inverse):
-        """The arithmetic of a tape pass on arrays: the output, the log-det
-        and each layer's vector-Jacobian product, in the order run."""
+    def _pass(self, x, ctx, states, inverse, with_vjp):
+        """A pass on arrays: the output, the log-det and, ``with_vjp``, each
+        layer's vector-Jacobian product in the order run (else empty).
+        ``states`` are the layers' weights (their own where None).  With
+        VJPs the layers run through their ``forward_node``/``inverse_node``;
+        a value-only pass calls their bodies directly, so those entry
+        points see tape work only."""
         order = range(len(self.layers))
         out, ld, vjps = x, None, []
         for i in (reversed(order) if inverse else order):
-            out, l, vjp = (self.layers[i].inverse_node if inverse
-                           else self.layers[i].forward_node)(out, ctx, states[i])
-            vjps.append((i, vjp))
+            layer, params = self.layers[i], None if states is None else states[i]
+            if with_vjp:
+                out, l, vjp = (layer.inverse_node if inverse
+                               else layer.forward_node)(out, ctx, params)
+                vjps.append((i, vjp))
+            else:
+                out, l, _ = layer._pass(out, ctx, params, inverse, with_vjp=False)
             if l is not None:
                 ld = l if ld is None else ld + l
         return out, (np.zeros(out.shape[0]) if ld is None else ld), vjps
@@ -606,12 +620,10 @@ class FlowModel:
         or, where the bound leaf is not a view of :attr:`vector` (a
         gradient check's perturbed copy), views of the leaf's value."""
         leaf = None if bind is None else bind(self._vector, self._views)
-        if leaf is None or leaf.value.base is self._vector:
-            states = [None] * len(self.layers)
-        else:
-            states = self._layer_views(leaf.value)
+        states = (None if leaf is None or leaf.value.base is self._vector
+                  else self._layer_views(leaf.value))
         ctx = None if context is None else context.value
-        out, ld, vjps = self._tape_arrays(node.value, ctx, states, inverse)
+        out, ld, vjps = self._pass(node.value, ctx, states, inverse, with_vjp=True)
         d = out.shape[1]
 
         def flow_vjp(g):
@@ -642,17 +654,6 @@ class FlowModel:
     def inverse_node(self, bind, x: de.Node, context: de.Node | None = None):
         return self._node_pass(bind, x, context, inverse=True)
 
-    def forward_as_tape(self, z, context=None):
-        """The values :meth:`forward_node` records, bit for bit, computed on
-        a (n, d) batch without a tape.  :meth:`forward` agrees with them to
-        rounding only: its gathers ``x[:, index]`` give F-ordered arrays,
-        which the next matmul reads faster at large batches, but rounds
-        differently on at small ones, than the tape's C-ordered ``np.take``."""
-        arr, _ = _as_batch(z, self.dim, "forward_as_tape")
-        out, ld, _ = self._tape_arrays(arr, self._context(context, arr.shape[0]),
-                                       [None] * len(self.layers), inverse=False)
-        return out, ld
-
     def _context(self, context, n):
         if self.context_width == 0:
             return None
@@ -669,32 +670,21 @@ class FlowModel:
         ctx = self._context(context, n)
         return None if ctx is None else graph.constant(ctx)
 
-    # ---- array front (plain numpy, no tape) ----
+    # ---- array front (the tape passes' values, no tape) ----
 
-    def _array_pass(self, arr, context, inverse):
-        ctx = self._context(context, arr.shape[0])
-        out, ld = arr, None
-        for layer in (reversed(self.layers) if inverse else self.layers):
-            out, l = (layer.inverse_array if inverse else layer.forward_array)(out, ctx)
-            if l is not None:
-                ld = l if ld is None else ld + l
-        if ld is None:
-            ld = np.zeros(arr.shape[0])
+    def _values(self, x, context, inverse, what):
+        arr, single = _as_batch(x, self.dim, what)
+        out, ld, _ = self._pass(arr, self._context(context, arr.shape[0]), None,
+                                inverse, with_vjp=False)
+        if single:
+            return out[0].copy(), float(ld[0])
         return (arr.copy() if out is arr else out), ld
 
     def forward(self, z, context=None):
-        arr, single = _as_batch(z, self.dim, "forward")
-        x, ld = self._array_pass(arr, context, inverse=False)
-        if single:
-            return x[0].copy(), float(ld[0])
-        return x, ld
+        return self._values(z, context, False, "forward")
 
     def inverse(self, x, context=None):
-        arr, single = _as_batch(x, self.dim, "inverse")
-        z, ld = self._array_pass(arr, context, inverse=True)
-        if single:
-            return z[0].copy(), float(ld[0])
-        return z, ld
+        return self._values(x, context, True, "inverse")
 
     def log_prob(self, x, context=None):
         arr, single = _as_batch(x, self.dim, "log_prob")

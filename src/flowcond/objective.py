@@ -74,8 +74,10 @@ def latent_kl_terms_node(bind: ParamBinder, cs: ComposedSampler, eps_node: de.No
 
 
 def _latent_kl_terms(cs: ComposedSampler, eps: np.ndarray):
-    """:func:`latent_kl_terms_node`'s values, bit for bit, without a tape."""
-    z, ld_pre = cs.pre.forward_as_tape(eps, cs.context)
+    """:func:`latent_kl_terms_node`'s values without a tape: the
+    pre-generator's :meth:`~flowcond.flows.FlowModel.forward` runs the
+    tape pass's layer bodies, so they agree bit for bit."""
+    z, ld_pre = cs.pre.forward(eps, cs.context)
     return gaussian_logpdf(eps) - ld_pre - gaussian_logpdf(z), z
 
 
@@ -107,11 +109,12 @@ def svi_loss_nodes(bind: ParamBinder, cs: ComposedSampler, obs: Observation,
 
 def svi_loss(cs: ComposedSampler, obs: Observation, smoothing: SmoothingSpec,
              eps_batch) -> LossBreakdown:
-    """:func:`svi_loss_nodes`'s values, bit for bit, without a tape."""
+    """:func:`svi_loss_nodes`'s values without a tape, bit for bit: both
+    flows' ``forward`` run the layer bodies of their tape passes."""
     eps = _eps_batch(eps_batch, cs.dim)
     _check_operator(cs, obs)
     terms, z = _latent_kl_terms(cs, eps)
-    pen = smoothing.beta * np.mean(obs.residual(cs.base.forward_as_tape(z)[0]))
+    pen = smoothing.beta * np.mean(obs.residual(cs.base.forward(z)[0]))
     out = LossBreakdown.of(float(np.mean(terms)), float(pen))
     if not math.isfinite(out.total):
         raise ObjectiveError("non-finite loss")

@@ -84,7 +84,7 @@ class TestBijectivity:
         flow = FlowModel(2, [layer])
         y = rng.standard_normal(2)
         x, _ = flow.inverse(y)
-        shift = mlp.forward_array(y[None, :1])[0, 0]
+        shift = flow.forward(np.array([y[0], 0.0]))[0][1]    # 0 + g(y1)
         assert x[0] == y[0]
         np.testing.assert_allclose(x[1], y[1] - shift, atol=1e-12)
 
@@ -98,12 +98,13 @@ class TestSaturatedAffineScale:
         k = len(layer.idx_out)
         layer.conditioner.weights[-1][:, k:] = 0.0
         layer.conditioner.biases[-1][0, k:] = raw
+        one = FlowModel(4, [layer])
         y = np.random.default_rng(22).standard_normal((50, 4))
-        x, ld = layer.inverse_array(y)
+        x, ld = one.inverse(y)
         assert np.all(np.isfinite(x))
         np.testing.assert_allclose(ld, -np.sign(raw) * k * math.log(4.0),
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(layer.forward_array(x)[0], y,
+        np.testing.assert_allclose(one.forward(x)[0], y,
                                    rtol=0, atol=1e-12)
 
 
@@ -271,18 +272,34 @@ class TestConditionalFlow:
         assert np.max(np.abs(z_back - z)) < 1e-9
 
 
+def headed_flow(dim, context_width):
+    """A diagonal-affine head, perturbed affine couplings and, from d = 3
+    on, an unevenly stepped permutation, which gathers by an index array."""
+    rng = np.random.default_rng(dim)
+    head = DiagonalAffine(rng.uniform(0.5, 2.0, dim), rng.normal(0.0, 0.3, dim))
+    body = perturbed_flow(dim, "affine", seed=32, num_layers=3,
+                          context_width=context_width)
+    perm = Permutation([1, 0] + list(range(2, dim)))
+    return FlowModel(dim, [head] + body.layers + [perm], context_width)
+
+
 class TestGraphConsistency:
-    def test_node_and_array_paths_agree_bitwise(self):
-        flow = perturbed_flow(4, "affine", seed=32)
-        z = np.random.default_rng(33).standard_normal((6, 4))
-        g = de.Graph()
-        xn, ldn = flow.forward_node(ParamBinder(g), g.constant(z))
-        x, ld = flow.forward(z)
-        np.testing.assert_array_equal(xn.value, x)
-        np.testing.assert_array_equal(ldn.value, ld)
-        x, ld = flow.forward_as_tape(z)
-        np.testing.assert_array_equal(xn.value, x)
-        np.testing.assert_array_equal(ldn.value, ld)
+    @pytest.mark.parametrize("dim", [2, 3, 64])
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 128, 2000])
+    @pytest.mark.parametrize("context_width", [0, 3], ids=["plain", "context"])
+    def test_node_and_array_paths_agree_bitwise(self, dim, n, context_width):
+        flow = headed_flow(dim, context_width)
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal((n, dim))
+        ctx = rng.standard_normal((n, context_width)) if context_width else None
+        for inverse in (False, True):
+            g = de.Graph()
+            yn, ldn = (flow.inverse_node if inverse else flow.forward_node)(
+                ParamBinder(g), g.constant(x), flow.context_node(g, ctx, n))
+            y, ld = (flow.inverse if inverse else flow.forward)(x, ctx)
+            assert y.shape == yn.value.shape and ld.shape == ldn.value.shape
+            assert y.tobytes() == yn.value.tobytes(), inverse
+            assert ld.tobytes() == ldn.value.tobytes(), inverse
 
     @pytest.mark.parametrize("d", [2, 5, 64])
     def test_permutation_adjoints_match_scatter_add(self, d):
@@ -384,3 +401,24 @@ class TestParameterVector:
         layers = perturbed_flow(2, "affine", seed=38).layers
         with pytest.raises(FlowError, match="must hold"):
             FlowModel(2, layers, vector=np.zeros(3))
+
+    @pytest.mark.parametrize("layer", [
+        Permutation([1, 0]), DiagonalAffine([2.0, 0.5]),
+        CouplingLayer("additive", [0], [1], Mlp([1, 4, 1]))])
+    def test_layer_width_must_be_the_model_dim(self, layer):
+        with pytest.raises(FlowError, match=r"width 2 in a flow on R\^3"):
+            FlowModel(3, [layer])
+
+    @pytest.mark.parametrize("model_width", [0, 2])
+    def test_coupling_context_width_must_be_0_or_the_model_width(self, model_width):
+        layer = CouplingLayer("additive", [0], [1], Mlp([4, 4, 1]), 3)
+        with pytest.raises(FlowError, match=f"context width 3 in a flow of "
+                                            f"context width {model_width}"):
+            FlowModel(2, [layer], model_width)
+        unconditional = CouplingLayer("additive", [0], [1], Mlp([1, 4, 1]))
+        assert FlowModel(2, [unconditional], 3).forward(
+            np.zeros(2), np.ones(3))[0].tolist() == [0.0, 0.0]
+
+    def test_diagonal_scale_must_be_a_vector(self):
+        with pytest.raises(FlowError, match="vectors"):
+            DiagonalAffine([[2.0, 0.5]])

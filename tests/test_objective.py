@@ -90,9 +90,10 @@ def same_bits(a, b):
 @pytest.mark.parametrize("conditional", [False, True],
                          ids=["unconditional", "conditional"])
 class TestValueOnlyLosses:
-    """The value-only losses run the array passes; they give the tape's
-    values bit for bit, also where the operator's matmul is wide enough to
-    round differently on a differently laid-out input."""
+    """The value-only losses run the layer bodies of the tape passes,
+    without their VJPs; they give the tape's values bit for bit, also where
+    the operator's matmul is wide enough to round differently on a
+    differently laid-out input."""
 
     def problem(self, dim, op, conditional):
         rng = np.random.default_rng(40)

@@ -393,6 +393,27 @@ class TestBinaryFrame:
         with pytest.raises(PersistError, match="permutation"):
             load_checkpoint(tmp_path / "m.ckpt")
 
+    @pytest.mark.parametrize("dim, context_width, layer, values, match", [
+        (3, 0, struct.pack("<BI2I", 0, 2, 1, 0), 0, r"width 2 in a flow on R\^3"),
+        (2, 0, struct.pack("<BIIIIII2I", 1, 1, 0, 1, 1, 3, 2, 4, 1), 5,
+         "context width 3 in a flow of context width 0"),
+        (2, 2, struct.pack("<BIIIIII2I", 1, 1, 0, 1, 1, 3, 2, 4, 1), 5,
+         "context width 3 in a flow of context width 2"),
+    ], ids=["dim", "context-unconditional", "context-other"])
+    def test_layer_widths_checked_on_load(self, tmp_path, dim, context_width,
+                                          layer, values, match):
+        # a hand-built file whose header disagrees with its one layer: a
+        # permutation of R^2, or an additive coupling [0] -> [1] whose
+        # conditioner also reads a context of width 3
+        blob = bytes(8 * values)
+        (tmp_path / "m.ckpt").write_bytes(
+            b"FLWC" + struct.pack("<I", 1)
+            + struct.pack("<BII", 0, dim, context_width) + struct.pack("<I", 1)
+            + layer + struct.pack("<Q", values) + blob
+            + struct.pack("<I", zlib.crc32(blob)))
+        with pytest.raises(PersistError, match=match):
+            load_checkpoint(tmp_path / "m.ckpt")
+
 
 def framed_checkpoint(model, kind_code):
     """``model``'s checkpoint, framed here from the format's description:

@@ -5,8 +5,10 @@ calling one of these entry points leaves its layer without spans, and the
 traced run then fails (``statistics.median([])``); one that removes or
 renames one makes the tracer's install fail.  These tests look the entry
 points up as the tracer does, wrap them the same way, and require that
-SVI, MLE and Langevin steps reach each of them.  They also hold the tape
-each step records to a size that does not grow with the flow's depth."""
+SVI, MLE and Langevin steps reach each of them, and that the flows' array
+front (sampling and densities, no tape) reaches none of the per-layer ones,
+so that their spans time tape work only.  They also hold the tape each
+step records to a size that does not grow with the flow's depth."""
 
 import importlib.util
 from pathlib import Path
@@ -40,6 +42,14 @@ MLE = COMMON + [
     ("flows", "CouplingLayer", "inverse_node"),
     ("flows", "Permutation", "inverse_node"),
     ("flows", "FlowModel", "inverse_node"),
+]
+# the per-layer spans, which time the layers' tape passes only
+LAYERS = [
+    ("flows", "Mlp", "forward_node"),
+    ("flows", "CouplingLayer", "forward_node"),
+    ("flows", "CouplingLayer", "inverse_node"),
+    ("flows", "Permutation", "forward_node"),
+    ("flows", "Permutation", "inverse_node"),
 ]
 # the Langevin loop's spans: baselines.lmc_step_ms divides by the
 # backward calls, and lmc_self_ms subtracts these three children
@@ -127,6 +137,27 @@ def test_lmc_step_reaches_every_entry_point(monkeypatch):
     assert calls[("flows", "FlowModel", "forward_node")] == 3
     assert calls[("diffengine", None, "backward")] == 3
     assert calls[("training", None, "stream_rng")] >= 3
+
+
+def test_array_front_reaches_no_layer_entry_point(monkeypatch):
+    base, _ = svi_problem()
+    pre = perturbed_flow(3, "additive", seed=6, num_layers=3, hidden_width=8,
+                         context_width=2)
+    cs = flows.ComposedSampler(pre, base, context=np.ones(2))
+    x = np.random.default_rng(7).standard_normal((5, 3))
+    rng = np.random.default_rng(8)
+    calls = wrap_entry_points(monkeypatch, LAYERS)
+    base.forward(x)
+    base.inverse(x)
+    cs.sample(4, rng)
+    cs.sample_with_logq(4, rng)
+    cs.log_prob(x)
+    assert calls == dict.fromkeys(LAYERS, 0)
+    # the tape passes of the same flow reach every one of them
+    g = diffengine.Graph()
+    base.forward_node(None, g.constant(x))
+    base.inverse_node(None, g.constant(x))
+    assert all(calls.values())
 
 
 def test_benchmark_wraps_these_entry_points():
