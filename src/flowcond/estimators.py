@@ -13,9 +13,12 @@ import numpy as np
 # KDE bandwidth for degenerate columns, and the KDE's grid size
 _BANDWIDTH_FLOOR = 1e-4
 _GRID_POINTS = 512
-# diversity's row block, and the share of the block's squared norms below
-# which a Gram-identity distance is recomputed from the row difference
-_BLOCK_ROWS = 64
+# diversity's tile of pair distances (64 x 1024 float64 is 512 kB, so a
+# tile stays in a 2 MB L2 cache between its product, its square roots and
+# its sum), and the share of its squared norms below which a Gram-identity
+# distance is recomputed from the row difference
+_TILE_ROWS = 64
+_TILE_COLS = 1024
 _CANCELLATION = 1e-6
 # the KDE's grid rows per block, and the floor on exp's argument: numpy's
 # exp is 13-90x slower where its result is subnormal or 0, and exp(-700)
@@ -80,37 +83,74 @@ def diversity(samples) -> float:
     """Mean pairwise l2 distance over all n(n-1)/2 pairs, normalized by
     sqrt(d).
 
-    Blocks of rows of the mean-centred samples meet every later row
-    through one matrix product, d^2 = |a|^2 + |b|^2 - 2 a.b.  Where that
-    subtraction may have cancelled (d^2 below ``_CANCELLATION`` times the
-    block's largest squared norms), d^2 is recomputed from the exact row
-    difference, so identical rows still give 0.  Memory stays
-    O(``_BLOCK_ROWS`` * n).
+    The mean-centred draws are sorted, stably, along their widest
+    coordinate.  Each block of ``_TILE_ROWS`` rows then meets every later
+    row, ``_TILE_COLS`` columns at a time, through one matrix product into
+    one reused tile, d^2 = |a|^2 + |b|^2 - 2 a.b, whose square roots are
+    summed in place.  Memory stays O(n d + tile).
+
+    Where that subtraction may have cancelled, d^2 is recomputed from the
+    exact row difference, so identical rows still give 0.  That is where
+    the product's d^2 is at or below the block's zone: ``_CANCELLATION``
+    times the sum of the block's largest squared norm and the largest of
+    the rows from the block on, so at least 1e-6 (|a|^2 + |b|^2) for each
+    of its pairs.
+
+    The search for those pairs runs only inside a window of the sort.  The
+    product's rounding error is below 2 (d + 3) 2^-52 (|a|^2 + |b|^2),
+    which is at most 4.5e-10 (d + 3) times the zone: below 0.05 of it for
+    any d up to 10^8.  A pair that the product puts in the zone thus has a
+    true d^2 below 1.05 times the zone, so its two rows lie within
+    sqrt(1.05 zone) of each other along the sort coordinate, and, the rows
+    being sorted along it, each row's partner lies at or after the block's
+    first row and no further than sqrt(2 zone) past its last.  The zone
+    test and the recomputation run only on the columns up to that bound,
+    which ``np.searchsorted`` finds; every later pair's product stays above
+    the zone.  The margin between sqrt(1.05 zone) and sqrt(2 zone), at
+    least 3.8e-4 times either row's norm, covers the rounding of the bound
+    itself.  Only the order of the sum depends on the sort, which is stable,
+    so one input always gives the same bits.
     """
     s = _samples(samples)
     n, d = s.shape
     if n < 2:
         raise EstimatorError("diversity needs at least two samples")
+    finite = np.isfinite(s).all(axis=1)
+    if not finite.all():
+        raise EstimatorError(f"row {int(np.argmin(finite))} holds a "
+                             "non-finite draw")
     c = s - s.mean(axis=0)
+    axis = int(np.argmax(c.max(axis=0) - c.min(axis=0)))
+    c = c[np.argsort(c[:, axis], kind="stable")]
+    key = c[:, axis].copy()
     sq = np.einsum("ij,ij->i", c, c)
+    # the largest squared norm from each row on
+    later = np.maximum.accumulate(sq[::-1])[::-1]
     # [a, |a|^2, 1] . [-2b, 1, |b|^2] is the Gram identity in one product
     left = np.column_stack([c, sq, np.ones(n)])
     right = np.vstack([-2.0 * c.T, np.ones(n), sq])
     # row k of a block pairs only with the rows after it
-    below = np.tril(np.ones((_BLOCK_ROWS, _BLOCK_ROWS), dtype=bool))
+    below = np.tril(np.ones((_TILE_ROWS, _TILE_ROWS), dtype=bool))
+    buf = np.empty(_TILE_ROWS * _TILE_COLS)
     total = 0.0
-    for i in range(0, n - 1, _BLOCK_ROWS):
-        b = min(_BLOCK_ROWS, n - i)
-        d2 = np.matmul(left[i:i + b], right[:, i:])
-        d2[:, :b][below[:b, :b]] = np.inf   # kept out of the zone search
-        zone = _CANCELLATION * (sq[i:i + b].max() + sq[i:].max())
-        rows = np.flatnonzero(d2.min(axis=1) <= zone)
-        hit, cols = np.nonzero(d2[rows] <= zone)
-        rows = rows[hit]
-        diff = c[i + rows] - c[i + cols]
-        d2[rows, cols] = np.einsum("ij,ij->i", diff, diff)
-        d2[:, :b][below[:b, :b]] = 0.0
-        total += float(np.sqrt(d2, out=d2).sum())
+    for i in range(0, n - 1, _TILE_ROWS):
+        b = min(_TILE_ROWS, n - i)
+        zone = _CANCELLATION * (sq[i:i + b].max() + later[i])
+        stop = int(np.searchsorted(key, key[i + b - 1] + math.sqrt(2.0 * zone),
+                                   side="right"))
+        for j in range(i, n, _TILE_COLS):
+            w = min(_TILE_COLS, n - j)
+            d2 = buf[:b * w].reshape(b, w)
+            np.matmul(left[i:i + b], right[:, j:j + w], out=d2)
+            if j < stop:
+                rows, cols = np.nonzero(d2[:, :min(stop - j, w)] <= zone)
+                upper = cols + j > rows + i
+                rows, cols = rows[upper], cols[upper]
+                diff = c[i + rows] - c[j + cols]
+                d2[rows, cols] = np.einsum("ij,ij->i", diff, diff)
+            if j == i:
+                d2[:, :b][below[:b, :b]] = 0.0
+            total += float(np.sqrt(d2, out=d2).sum())
     return total / (n * (n - 1) / 2) / math.sqrt(d)
 
 

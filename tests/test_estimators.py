@@ -16,7 +16,7 @@ from flowcond.estimators import (EstimatorError, diversity,
                                  export_pixel_marginal, mmse_estimate, mse,
                                  mse_decomposition, pixel_marginal, psnr,
                                  silverman_bandwidth)
-from flowcond.estimators import _sorted_quantile
+from flowcond.estimators import _TILE_COLS, _TILE_ROWS, _sorted_quantile
 
 
 def brute_diversity(x):
@@ -71,6 +71,46 @@ def kde_column(kind, n, rng):
 
 
 COLUMNS = ["normal", "cauchy", "far_out", "offset", "ties", "constant"]
+
+
+def diversity_set(kind, n, d, rng):
+    """n draws in d dimensions of one of the shapes the sorted, windowed
+    diversity must handle; coordinate 0 is the widest unless the shape
+    says otherwise."""
+    if kind == "clustered":
+        # a few tight clusters, each holding exact and near duplicates:
+        # the shape of a sharp posterior
+        centers = rng.standard_normal((3, d))
+        x = centers[rng.integers(0, 3, n)] \
+            + 10.0 ** -rng.integers(4, 9, (n, 1)) * rng.standard_normal((n, d))
+        x[rng.random(n) < 0.3] = centers[0]
+        return x
+    x = rng.standard_normal((n, d))
+    x[:, 0] *= 3.0
+    if kind == "straddling":
+        # copies of one row on both sides of a tile edge in sorted order
+        x = x[np.argsort(x[:, 0], kind="stable")]
+        edge = next((e for e in (_TILE_COLS, _TILE_ROWS) if n > e), n // 2)
+        lo, hi = max(edge - 3, 0), min(edge + 3, n)
+        x[lo:hi] = x[lo]
+        return rng.permutation(x)
+    if kind == "sort_ties":       # many rows share each sort-axis value
+        x[:, 0] = np.round(x[:, 0])
+    elif kind == "collinear_along":     # on a line along the sort axis
+        x[:, 1:] = 0.5
+    elif kind == "collinear_across":    # a third on a line across it
+        x[: n // 3, 0] = 0.25
+    elif kind == "offset":
+        x += 1e4
+    elif kind == "scaled":
+        x[::7] *= 100.0
+    return x
+
+
+DIVERSITY_SETS = ["clustered", "straddling", "sort_ties", "collinear_along",
+                  "collinear_across", "offset", "scaled", "normal"]
+DIVERSITY_SIZES = [2, 3, _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1,
+                   _TILE_COLS - 1, _TILE_COLS, _TILE_COLS + 1]
 
 
 class TestMmse:
@@ -159,6 +199,40 @@ class TestDiversity:
 
     def test_identical_rows_across_blocks_give_exact_zero(self):
         assert diversity(np.tile([0.1, -0.3, 0.7], (150, 1))) == 0.0
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(DIVERSITY_SETS),
+           n=st.sampled_from(DIVERSITY_SIZES), d=st.sampled_from([1, 2, 3, 64]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kind="clustered", n=_TILE_COLS + 1, d=2, seed=0)
+    @example(kind="straddling", n=_TILE_COLS + 1, d=2, seed=1)
+    @example(kind="straddling", n=_TILE_ROWS + 1, d=64, seed=2)
+    @example(kind="collinear_across", n=_TILE_ROWS, d=3, seed=3)
+    @example(kind="offset", n=_TILE_COLS, d=1, seed=4)
+    def test_sorted_windowed_walk_matches_brute_force(self, kind, n, d, seed):
+        x = diversity_set(kind, n, d, np.random.default_rng(seed))
+        want = brute_diversity(x)
+        got = diversity(x)
+        if want == 0.0:
+            assert got == 0.0
+        else:
+            assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("kind", ["clustered", "sort_ties"])
+    def test_same_bits_every_call_and_any_row_order(self, kind):
+        rng = np.random.default_rng(15)
+        x = diversity_set(kind, 2 * _TILE_COLS + 5, 2, rng)
+        first = diversity(x)
+        assert diversity(x.copy()) == first
+        permuted = diversity(rng.permutation(x))
+        assert abs(permuted - first) <= 1e-12 * first
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draw_raises_naming_its_row(self, bad):
+        x = np.random.default_rng(16).standard_normal((30, 2))
+        x[[7, 12], 1] = bad
+        with pytest.raises(EstimatorError, match="row 7 holds a non-finite"):
+            diversity(x)
 
 
 class TestPixelMarginal:
@@ -304,6 +378,16 @@ class TestMemory:
         tracemalloc.start()
         try:
             estimator(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_diversity_peak_under_16_mb_at_d64(self):
+        s = np.random.default_rng(13).standard_normal((2000, 64))
+        tracemalloc.start()
+        try:
+            diversity(s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
