@@ -91,25 +91,29 @@ def diversity(samples) -> float:
 
     Where that subtraction may have cancelled, d^2 is recomputed from the
     exact row difference, so identical rows still give 0.  That is where
-    the product's d^2 is at or below the block's zone: ``_CANCELLATION``
-    times the sum of the block's largest squared norm and the largest of
-    the rows from the block on, so at least 1e-6 (|a|^2 + |b|^2) for each
-    of its pairs.
+    the product's d^2 is at or below the block's zone, ``_CANCELLATION``
+    times the sum of the largest squared norm among the block's rows and
+    the largest among the columns its search reaches, so at least
+    1e-6 (|a|^2 + |b|^2) for each pair it searches.
 
-    The search for those pairs runs only inside a window of the sort.  The
-    product's rounding error is below 2 (d + 3) 2^-52 (|a|^2 + |b|^2),
-    which is at most 4.5e-10 (d + 3) times the zone: below 0.05 of it for
-    any d up to 10^8.  A pair that the product puts in the zone thus has a
-    true d^2 below 1.05 times the zone, so its two rows lie within
-    sqrt(1.05 zone) of each other along the sort coordinate, and, the rows
-    being sorted along it, each row's partner lies at or after the block's
-    first row and no further than sqrt(2 zone) past its last.  The zone
-    test and the recomputation run only on the columns up to that bound,
-    which ``np.searchsorted`` finds; every later pair's product stays above
-    the zone.  The margin between sqrt(1.05 zone) and sqrt(2 zone), at
-    least 3.8e-4 times either row's norm, covers the rounding of the bound
-    itself.  Only the order of the sum depends on the sort, which is stable,
-    so one input always gives the same bits.
+    The search runs only inside a window of the sort.  The product's
+    rounding error is below 2 (d + 3) 2^-52 (|a|^2 + |b|^2), so for any
+    zone of at least 1e-6 (|a|^2 + |b|^2) it is at most 4.5e-10 (d + 3)
+    times the zone: below 0.05 of it for any d up to 10^8.  A pair whose
+    rows lie more than sqrt(2 zone) apart along the sort coordinate has a
+    true d^2 above twice the zone, so its product stays above the zone,
+    and only the columns up to the last one within sqrt(2 zone) of the
+    block's last row need the test; the rows being sorted, every later row
+    is at least as far from each row of the block.  ``np.searchsorted``
+    finds that column.  As the window depends on the zone, it is found
+    twice: first with the largest squared norm over all later rows, then
+    with the largest over that first window, which can only narrow it;
+    a column between the two windows is covered by the second zone and
+    one past the first window by the first, whose zone is the larger.  The
+    rounding of the bound itself, about 1e-16 of the rows' norms, is far
+    inside the margin between sqrt(1.05 zone), where a pair in the zone
+    can lie, and sqrt(2 zone).  Only the order of the sum depends on the
+    sort, which is stable, so one input always gives the same bits.
     """
     s = _samples(samples)
     n, d = s.shape
@@ -135,8 +139,13 @@ def diversity(samples) -> float:
     total = 0.0
     for i in range(0, n - 1, _TILE_ROWS):
         b = min(_TILE_ROWS, n - i)
-        zone = _CANCELLATION * (sq[i:i + b].max() + later[i])
-        stop = int(np.searchsorted(key, key[i + b - 1] + math.sqrt(2.0 * zone),
+        top, last = sq[i:i + b].max(), key[i + b - 1]
+        # the window of the zone over all later rows, then the window of
+        # the zone over that window's columns
+        wide = math.sqrt(2.0 * _CANCELLATION * (top + later[i]))
+        stop = int(np.searchsorted(key, last + wide, side="right"))
+        zone = _CANCELLATION * (top + sq[i:stop].max())
+        stop = int(np.searchsorted(key, last + math.sqrt(2.0 * zone),
                                    side="right"))
         for j in range(i, n, _TILE_COLS):
             w = min(_TILE_COLS, n - j)
