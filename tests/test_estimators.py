@@ -1,6 +1,6 @@
 """Estimator tests: the mean-dominance identity, PSNR conventions,
-diversity normalization, and marginal histogram/KDE behavior; the blocked
-diversity and windowed KDE against their direct formulas, the sorted
+diversity normalization, and marginal histogram/KDE behavior; the sorted,
+tiled diversity and windowed KDE against their direct formulas, the sorted
 histogram against np.histogram, the marginal export against its per-line
 writer, and the memory both stay in."""
 
